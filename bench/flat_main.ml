@@ -33,6 +33,13 @@ module J = Bench_json
 
 let quick = Sys.getenv_opt "PAX_BENCH_QUICK" <> None
 let out = Option.value (Sys.getenv_opt "PAX_BENCH_OUT") ~default:"BENCH_PR7.json"
+
+(* The artifact's "pr" field: the number in a BENCH_PR<n>.json output
+   name, else the run this bench was written for. *)
+let pr =
+  Option.value ~default:7
+    (Scanf.sscanf_opt (Filename.basename out) "BENCH_PR%d.json%!" Fun.id)
+
 let nodes = if quick then 8_000 else 120_000
 let repeats = if quick then 3 else 7
 
@@ -44,13 +51,20 @@ let queries =
     "site/people/person[profile/age > 20 and address/country = \"US\"]/creditcard";
   ]
 
+(* Best per-call wall time over [repeats] samples.  A sample calls [f]
+   until a millisecond has passed, so a kernel that finishes within the
+   clock's microsecond resolution still gets a positive time. *)
 let time_best f =
   let best = ref infinity in
   for _ = 1 to repeats do
     let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    let t1 = Unix.gettimeofday () in
-    if t1 -. t0 < !best then best := t1 -. t0
+    let rec sample calls =
+      ignore (Sys.opaque_identity (f ()));
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt < 1e-3 then sample (calls + 1) else dt /. float calls
+    in
+    let per_call = sample 1 in
+    if per_call < !best then best := per_call
   done;
   !best
 
@@ -96,8 +110,8 @@ let () =
         ~pointer_s:(time_best (fun () -> Qual_pass.run compiled root))
         ~flat_s:(time_best (fun () -> Flat_pass.qual_run plan fl ~is_root:false))
         ~agree:
-          (qp.Qual_pass.ops = fq.Flat_pass.q_ops
-          && qp.Qual_pass.root_vec = fq.Flat_pass.q_root_vec);
+          (qp.Qual_pass.ops = Flat_pass.qual_ops fq
+          && qp.Qual_pass.root_vec = Flat_pass.qual_root_vec fq);
       (* Selection pass (Stage 2 of PaX3), qualifiers ground. *)
       let init = Sel_pass.blank_init compiled in
       let sat (v : Tree.node) filter =
@@ -142,7 +156,7 @@ let () =
     J.Obj
       [
         ("bench", J.Str "flat");
-        ("pr", J.int 7);
+        ("pr", J.int pr);
         ("quick", J.Bool quick);
         ("cores", J.int (Domain.recommended_domain_count ()));
         ("nodes", J.int nodes);

@@ -6,11 +6,25 @@
    tests compare interned int codes, text and attribute tests compare
    against the shared byte buffer in place, and traversal follows the
    [first_child]/[next_sibling] int vectors instead of chasing node
-   pointers.  Every formula the pointer passes would build is built
-   here in the identical construction order, so a flat run is
-   bit-identical through every oracle (answers, visit vectors, ops,
-   trace events, audits) — test/test_engine_seam.ml asserts exactly
-   that, clean and under faults.
+   pointers.  A flat run is bit-identical through every oracle
+   (answers, visit vectors, ops, trace events, audits) —
+   test/test_engine_seam.ml asserts exactly that, clean and under
+   faults.
+
+   Two representation choices make the loops cheap without changing a
+   single formula or op count:
+
+   - Ground masks.  Residual variables enter a qualifier vector only
+     at virtual slots, so every slot whose subtree holds no virtual
+     node has a vector of plain [True]/[False].  Such a slot keeps its
+     vector as bits in a per-run [int array] (32 entries per word), and
+     "some child has entry e" is one OR of the child masks.  Formula
+     vectors exist only on the symbolic spine above the virtual slots,
+     built in the pointer pass's construction order.
+   - Dead subtrees.  Once a non-context slot's selection vector is all
+     [False], so is every selection vector below it: the selection
+     half skips the subtree, charging its [n_sel] ops per element slot
+     and emitting an all-[False] context per virtual slot, in preorder.
 
    The one node that has no slot is the [#document] context wrapper an
    absolute query puts above the root fragment; it is evaluated
@@ -56,6 +70,8 @@ type fpath = {
   fdesc : int array;
 }
 
+(* Immutable once built, so one plan serves every visit of a run, on
+   any domain. *)
 type plan = { compiled : Compile.t; fsel : fitem array; fpaths : fpath array }
 
 let lower_test intern = function
@@ -146,11 +162,224 @@ let feval_entries plan flat i ~exists_child : Formula.t array =
             vec.(p.fsat.(j)) <- d
         | FFilter q ->
             vec.(p.fsat.(j)) <-
-              (if a_next = Formula.false_ then Formula.false_
-               else Formula.conj (fsat_view flat vec i q) a_next)
+              (match a_next with
+              | Formula.False -> Formula.false_
+              | _ -> Formula.conj (fsat_view flat vec i q) a_next)
       done)
     plan.fpaths;
   vec
+
+(* ------------------------------------------------------------------ *)
+(* ground masks                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Entry [e] of the mask at [m.(o ..)] is bit [e land 31] of word
+   [o + e lsr 5]: 32 entries a word, so addressing is two shifts
+   rather than a division (an OCaml int would hold 62 or 63). *)
+let words n_qual = (n_qual + 31) / 32
+
+let[@inline] get m o e = (m.(o + (e lsr 5)) lsr (e land 31)) land 1 = 1
+
+let[@inline] put m o e b =
+  let k = o + (e lsr 5) and s = e land 31 in
+  m.(k) <- (m.(k) land lnot (1 lsl s)) lor (Bool.to_int b lsl s)
+
+(* [fsat_view] on a ground slot, whose vector is the mask at
+   [m.(o ..)]: every formula it would build is a constant. *)
+let rec fsat_bits flat m o i = function
+  | FSat_empty -> true
+  | FSat e -> get m o e
+  | FText_eq s -> Flat.text_equals flat i s
+  | FVal_cmp (op, num) -> (
+      match Flat.num flat i with
+      | Some f -> Ast.compare_num op f num
+      | None -> false)
+  | FAttr_test (key, expected) -> Flat.attr_test flat i ~key ~expected
+  | FNot q -> not (fsat_bits flat m o i q)
+  | FAnd (a, b) -> fsat_bits flat m o i a && fsat_bits flat m o i b
+  | FOr (a, b) -> fsat_bits flat m o i a || fsat_bits flat m o i b
+
+(* [feval_entries] on a slot whose children are all ground: the same
+   writes in the same order, into the (zeroed) mask at [m.(o ..)];
+   [kor] is the OR of the children's masks, so "some child has entry
+   e" is bit [e] of [kor]. *)
+let feval_bits plan flat i m o kor =
+  let tagc = Flat.tag_code flat i in
+  for pi = 0 to Array.length plan.fpaths - 1 do
+    let p = plan.fpaths.(pi) in
+    let k = Array.length p.fitems in
+    for j = k - 1 downto 0 do
+      let a_next = j + 1 = k || get m o p.fsat.(j + 1) in
+      match p.fitems.(j) with
+      | FMove code ->
+          put m o p.fstep.(j) (a_next && (code = -2 || code = tagc));
+          put m o p.fsat.(j) (get kor 0 p.fstep.(j))
+      | FDos ->
+          if j + 1 = k then put m o p.fsat.(j) true
+          else begin
+            let e = p.fdesc.(j + 1) in
+            let d = a_next || get kor 0 e in
+            put m o e d;
+            put m o p.fsat.(j) d
+          end
+      | FFilter q -> put m o p.fsat.(j) (a_next && fsat_bits flat m o i q)
+    done
+  done
+
+(* Every slot's qualifier vector: a ground slot's as [words] bits at
+   [masks.(slot * words ..)], a spine slot's (virtual, or above a
+   virtual slot) as the formula vector [spine.(slot)], which is [||]
+   for ground slots.  [spine] itself is [||] when no slot needs it (no
+   virtual slot, or no qualifier entry). *)
+type qvecs = {
+  words : int;
+  masks : int array;
+  spine : Formula.t array array;
+}
+
+let spine_vec qv i = if Array.length qv.spine = 0 then [||] else qv.spine.(i)
+
+(* Slot [i]'s entry [e], as the formula the pointer pass holds. *)
+let entry qv i e =
+  let v = spine_vec qv i in
+  if Array.length v > 0 then v.(e)
+  else Formula.bool (get qv.masks (i * qv.words) e)
+
+(* The qualifier half shared by [qual_run] and [combined_run]:
+   reverse preorder, so children are done before their parent.  Adds
+   each element slot's [n_qual * (1 + children)] to [ops]; what a
+   virtual slot costs differs between the two passes. *)
+let qual_fill plan flat ~ops : qvecs =
+  let compiled = plan.compiled in
+  let n_qual = compiled.Compile.n_qual in
+  let n = Flat.length flat in
+  let w = words n_qual in
+  let masks = Array.make (n * w) 0 in
+  let spine =
+    if n_qual > 0 && Flat.n_virtual flat > 0 then Array.make n [||] else [||]
+  in
+  let qv = { words = w; masks; spine } in
+  let kor = Array.make w 0 in
+  (* The pointer pass's left fold over the children, ground entries
+     read as constants. *)
+  let exists_child i e =
+    let rec go c acc =
+      if c < 0 then acc
+      else go (Flat.next_sibling flat c) (Formula.disj acc (entry qv c e))
+    in
+    go (Flat.first_child flat i) Formula.false_
+  in
+  if n_qual > 0 then
+    for i = n - 1 downto 0 do
+      let vfid = Flat.virtual_fid flat i in
+      if vfid >= 0 then spine.(i) <- Qual_pass.virtual_vec compiled vfid
+      else begin
+        for k = 0 to w - 1 do
+          kor.(k) <- 0
+        done;
+        let kids = ref 0 and symbolic = ref false in
+        let c = ref (Flat.first_child flat i) in
+        while !c >= 0 do
+          incr kids;
+          if Array.length (spine_vec qv !c) > 0 then symbolic := true
+          else
+            for k = 0 to w - 1 do
+              kor.(k) <- kor.(k) lor masks.((!c * w) + k)
+            done;
+          c := Flat.next_sibling flat !c
+        done;
+        ops := !ops + (n_qual * (1 + !kids));
+        if !symbolic then
+          spine.(i) <- feval_entries plan flat i ~exists_child:(exists_child i)
+        else feval_bits plan flat i masks (i * w) kor
+      end
+    done;
+  qv
+
+(* Slot [i]'s whole vector (physically the stored one on the spine). *)
+let vector qv ~n_qual i =
+  let v = spine_vec qv i in
+  if Array.length v > 0 then v else Array.init n_qual (entry qv i)
+
+(* Filter satisfaction at slot [i] against its (resolved) vector. *)
+let sat_at flat qv i q =
+  let v = spine_vec qv i in
+  if Array.length v > 0 then fsat_view flat v i q
+  else Formula.bool (fsat_bits flat qv.masks (i * qv.words) i q)
+
+(* ------------------------------------------------------------------ *)
+(* dead subtrees                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The selection half shared by [sel_run] and [combined_run]: a
+   preorder walk from slot 0 whose parent vector is [init].  Each
+   element slot's vector is filled from its parent's ([sat i q]
+   evaluates filter [q] at slot [i]), noting whether any entry is not
+   [False], and its last entry goes to [emit i].  Below a dead slot
+   the walk charges what a full walk would — [n_sel] ops per element
+   slot, an all-[False] context per virtual slot, in preorder — from
+   the slot's [subtree_size] and a cursor over the image's virtual
+   slots.  Returns the ops and the contexts, in preorder. *)
+let sel_walk plan flat ~init ~is_context ~sat ~emit =
+  let n = plan.compiled.Compile.n_sel in
+  let ops = ref 0 in
+  let contexts = ref [] in
+  let next_virtual = ref 0 in
+  let skip_below i =
+    let stop = i + Flat.subtree_size flat i in
+    let first = !next_virtual in
+    while
+      !next_virtual < Flat.n_virtual flat
+      && Flat.virtual_slot flat !next_virtual < stop
+    do
+      let fid = Flat.virtual_fid flat (Flat.virtual_slot flat !next_virtual) in
+      contexts := (fid, Array.make n Formula.false_) :: !contexts;
+      incr next_virtual
+    done;
+    ops := !ops + (n * (stop - i - 1 - (!next_virtual - first)))
+  in
+  let rec go i ~is_context (sv_p : Formula.t array) =
+    let vfid = Flat.virtual_fid flat i in
+    if vfid >= 0 then begin
+      contexts := (vfid, Array.copy sv_p) :: !contexts;
+      incr next_virtual
+    end
+    else begin
+      ops := !ops + n;
+      let sv = Array.make n Formula.false_ in
+      sv.(0) <- Formula.bool is_context;
+      let live = ref is_context in
+      let tagc = Flat.tag_code flat i in
+      for ix = 1 to n - 1 do
+        let f =
+          match plan.fsel.(ix - 1) with
+          | FMove code ->
+              if code = -2 || code = tagc then sv_p.(ix - 1)
+              else Formula.false_
+          | FDos -> Formula.disj sv_p.(ix) sv.(ix - 1)
+          | FFilter q -> (
+              match sv.(ix - 1) with
+              | Formula.False -> Formula.false_
+              | prev -> Formula.conj prev (sat i q))
+        in
+        sv.(ix) <- f;
+        match f with Formula.False -> () | _ -> live := true
+      done;
+      emit i sv.(n - 1);
+      if !live then begin
+        let rec each c =
+          if c >= 0 then begin
+            go c ~is_context:false sv;
+            each (Flat.next_sibling flat c)
+          end
+        in
+        each (Flat.first_child flat i)
+      end
+      else skip_below i
+    end
+  in
+  go 0 ~is_context init;
+  (!ops, List.rev !contexts)
 
 (* ------------------------------------------------------------------ *)
 (* qualifier pass (PaX3 stage 1, ParBoX)                              *)
@@ -158,7 +387,8 @@ let feval_entries plan flat i ~exists_child : Formula.t array =
 
 type qual = {
   q_flat : Flat.t;
-  q_vecs : Formula.t array array;  (* slot -> qualifier vector *)
+  q_n_qual : int;
+  q_vecs : qvecs;
   q_wrap : (Tree.node * Formula.t array) option;
       (* the #document wrapper and its vector, when the eval root was
          wrapped (root fragment of an absolute query) *)
@@ -166,40 +396,19 @@ type qual = {
   q_ops : int;
 }
 
+let qual_root_vec q = q.q_root_vec
+let qual_ops q = q.q_ops
+let qual_flat q = q.q_flat
+
 (* Mirror of {!Qual_pass.run} on [eval_root fid]: [is_root] says this
    is fragment 0, whose root an absolute query wraps in a materialized
    [#document] node (evaluated through the pointer kernel). *)
 let qual_run plan flat ~is_root : qual =
   let compiled = plan.compiled in
   let n_qual = compiled.Compile.n_qual in
-  let vecs = Array.make (Flat.length flat) [||] in
-  let ops = ref 0 in
-  let rec go i =
-    let rec kids c acc =
-      if c < 0 then List.rev acc
-      else kids (Flat.next_sibling flat c) (go c :: acc)
-    in
-    let child_vecs = kids (Flat.first_child flat i) [] in
-    let vec =
-      let vfid = Flat.virtual_fid flat i in
-      if vfid >= 0 then begin
-        ops := !ops + n_qual;
-        Qual_pass.virtual_vec compiled vfid
-      end
-      else begin
-        ops := !ops + (n_qual * (1 + List.length child_vecs));
-        let exists_child e =
-          List.fold_left
-            (fun acc cv -> Formula.disj acc cv.(e))
-            Formula.false_ child_vecs
-        in
-        feval_entries plan flat i ~exists_child
-      end
-    in
-    vecs.(i) <- vec;
-    vec
-  in
-  let root_vec = go 0 in
+  let ops = ref (n_qual * Flat.n_virtual flat) in
+  let qv = qual_fill plan flat ~ops in
+  let root_vec = vector qv ~n_qual 0 in
   let wrap =
     if is_root && compiled.Compile.absolute then begin
       let wrapper = fst (Sel_pass.context_root compiled (Flat.root flat)) in
@@ -210,27 +419,27 @@ let qual_run plan flat ~is_root : qual =
   in
   {
     q_flat = flat;
-    q_vecs = vecs;
+    q_n_qual = n_qual;
+    q_vecs = qv;
     q_wrap = wrap;
     q_root_vec = (match wrap with Some (_, wv) -> wv | None -> root_vec);
     q_ops = !ops;
   }
 
 (* Mirror of {!Qual_pass.resolve}: substitute in place, counting every
-   entry of every stored vector (virtual slots and wrapper included). *)
+   entry of every slot's vector (virtual slots and wrapper included).
+   Ground entries are constants, which substitution leaves alone. *)
 let qual_resolve q lookup =
-  let n = ref 0 in
-  Array.iter
-    (fun vec ->
-      n := !n + Array.length vec;
-      Array.iteri (fun e f -> vec.(e) <- Formula.subst lookup f) vec)
-    q.q_vecs;
-  (match q.q_wrap with
+  let subst_all vec =
+    Array.iteri (fun e f -> vec.(e) <- Formula.subst lookup f) vec
+  in
+  Array.iter subst_all q.q_vecs.spine;
+  let n = Flat.length q.q_flat * q.q_n_qual in
+  match q.q_wrap with
   | Some (_, wvec) ->
-      n := !n + Array.length wvec;
-      Array.iteri (fun e f -> wvec.(e) <- Formula.subst lookup f) wvec
-  | None -> ());
-  !n
+      subst_all wvec;
+      n + Array.length wvec
+  | None -> n
 
 (* ------------------------------------------------------------------ *)
 (* selection pass (PaX3 stage 2)                                      *)
@@ -246,81 +455,60 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
   let ops = ref 0 in
   let answers = ref [] in
   let candidates = ref [] in
-  let contexts = ref [] in
-  let sat_slot i q =
-    let vec = match qual with Some qp -> qp.q_vecs.(i) | None -> [||] in
-    fsat_view flat vec i q
+  let sat i q =
+    match qual with
+    | Some qp -> sat_at flat qp.q_vecs i q
+    | None -> fsat_view flat [||] i q
   in
-  let rec go i ~is_context (sv_p : Formula.t array) =
-    let vfid = Flat.virtual_fid flat i in
-    if vfid >= 0 then contexts := (vfid, Array.copy sv_p) :: !contexts
-    else begin
+  let emit i = function
+    | Formula.True -> answers := Flat.orig flat i :: !answers
+    | Formula.False -> ()
+    | f -> candidates := (Flat.orig flat i, f) :: !candidates
+  in
+  let walk ~is_context init =
+    let walk_ops, contexts = sel_walk plan flat ~init ~is_context ~sat ~emit in
+    ops := !ops + walk_ops;
+    contexts
+  in
+  let contexts =
+    if is_root && compiled.Compile.absolute then begin
+      (* The wrapper through the pointer kernel, its vector from the
+         qualifier pass (stored under the wrapper when it ran wrapped). *)
+      let wrapper, wvec =
+        match qual with
+        | Some { q_wrap = Some (w, wv); _ } -> (w, wv)
+        | _ -> (fst (Sel_pass.context_root compiled (Flat.root flat)), [||])
+      in
       ops := !ops + n;
       let sv = Array.make n Formula.false_ in
-      sv.(0) <- Formula.bool is_context;
-      let tagc = Flat.tag_code flat i in
-      for ix = 1 to Array.length plan.fsel do
-        match plan.fsel.(ix - 1) with
-        | FMove code ->
+      sv.(0) <- Formula.bool true;
+      let items = compiled.Compile.sel in
+      for ix = 1 to Array.length items do
+        match items.(ix - 1) with
+        | Compile.Move test ->
             sv.(ix) <-
-              (if code = -2 || code = tagc then sv_p.(ix - 1)
+              (if Compile.matches test wrapper.Tree.tag then init.(ix - 1)
                else Formula.false_)
-        | FDos -> sv.(ix) <- Formula.disj sv_p.(ix) sv.(ix - 1)
-        | FFilter q ->
+        | Compile.Dos_item -> sv.(ix) <- Formula.disj init.(ix) sv.(ix - 1)
+        | Compile.Filter q ->
             sv.(ix) <-
               (if sv.(ix - 1) = Formula.false_ then Formula.false_
-               else Formula.conj sv.(ix - 1) (sat_slot i q))
+               else
+                 Formula.conj sv.(ix - 1)
+                   (Qual_pass.sat compiled wvec wrapper q))
       done;
       (match Formula.to_bool sv.(last) with
-      | Some true -> answers := Flat.orig flat i :: !answers
+      | Some true -> answers := wrapper :: !answers
       | Some false -> ()
-      | None -> candidates := (Flat.orig flat i, sv.(last)) :: !candidates);
-      let rec each c =
-        if c >= 0 then begin
-          go c ~is_context:false sv;
-          each (Flat.next_sibling flat c)
-        end
-      in
-      each (Flat.first_child flat i)
+      | None -> candidates := (wrapper, sv.(last)) :: !candidates);
+      walk ~is_context:false sv
     end
+    else walk ~is_context:is_root init
   in
-  if is_root && compiled.Compile.absolute then begin
-    (* The wrapper through the pointer kernel, its vector from the
-       qualifier pass (stored under the wrapper when it ran wrapped). *)
-    let wrapper, wvec =
-      match qual with
-      | Some { q_wrap = Some (w, wv); _ } -> (w, wv)
-      | _ -> (fst (Sel_pass.context_root compiled (Flat.root flat)), [||])
-    in
-    ops := !ops + n;
-    let sv = Array.make n Formula.false_ in
-    sv.(0) <- Formula.bool true;
-    let items = compiled.Compile.sel in
-    for ix = 1 to Array.length items do
-      match items.(ix - 1) with
-      | Compile.Move test ->
-          sv.(ix) <-
-            (if Compile.matches test wrapper.Tree.tag then init.(ix - 1)
-             else Formula.false_)
-      | Compile.Dos_item -> sv.(ix) <- Formula.disj init.(ix) sv.(ix - 1)
-      | Compile.Filter q ->
-          sv.(ix) <-
-            (if sv.(ix - 1) = Formula.false_ then Formula.false_
-             else
-               Formula.conj sv.(ix - 1)
-                 (Qual_pass.sat compiled wvec wrapper q))
-    done;
-    (match Formula.to_bool sv.(last) with
-    | Some true -> answers := wrapper :: !answers
-    | Some false -> ()
-    | None -> candidates := (wrapper, sv.(last)) :: !candidates);
-    go 0 ~is_context:false sv
-  end
-  else go 0 ~is_context:is_root init;
   {
     Sel_pass.answers = List.rev !answers;
     candidates = List.rev !candidates;
-    contexts = List.rev !contexts;
+    contexts;
     ops = !ops;
   }
 
@@ -338,45 +526,29 @@ type combined_outcome = {
   ops : int;
 }
 
-(* Qualifier entries that selection filters consult (one sorted list
-   per query; identical to Pax2.Combined.placeholder_entries). *)
-let placeholder_entries (compiled : Compile.t) =
-  let rec refs acc = function
-    | Compile.Sat pi ->
-        let p = compiled.Compile.paths.(pi) in
-        if Array.length p.Compile.items = 0 then acc
-        else p.Compile.sat.(0) :: acc
-    | Compile.Text_eq _ | Compile.Val_cmp _ | Compile.Attr_test _ -> acc
-    | Compile.Qnot q -> refs acc q
-    | Compile.Qand (a, b) | Compile.Qor (a, b) -> refs (refs acc a) b
-  in
-  Array.fold_left
-    (fun acc item ->
-      match item with
-      | Compile.Filter q -> refs acc q
-      | Compile.Move _ | Compile.Dos_item -> acc)
-    [] compiled.Compile.sel
-  |> List.sort_uniq compare
-
-(* Mirror of {!Pax2.Combined.run}. *)
+(* Mirror of {!Pax2.Combined.run}.  The pointer pass interleaves a
+   pre-order selection half, whose filters read placeholder variables
+   [Qual_at (node, e)], with a post-order qualifier half that binds
+   them, and substitutes the bindings before returning.  Here the
+   qualifier half runs first ([qual_fill]) and the selection half
+   after it, so a placeholder is keyed by slot — [Qual_at (slot, e)],
+   the wrapper's by its negative node id — and is bound by reading the
+   slot's vector.  Placeholders never leave the pass and are renamed
+   one to one, so every formula that does is unchanged; the selection
+   half still builds them, since the ops and pending candidates depend
+   on them. *)
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
   let n_sel = compiled.Compile.n_sel in
   let n_qual = compiled.Compile.n_qual in
   let last = n_sel - 1 in
-  let placeholders = placeholder_entries compiled in
-  let sigma : (int * int, Formula.t) Hashtbl.t = Hashtbl.create 64 in
-  let issued : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let pending = ref [] in
-  let contexts = ref [] in
   let ops = ref 0 in
+  let qv = qual_fill plan flat ~ops in
   let sat_pre_slot i q =
-    let nid = Flat.node_id flat i in
     let rec go = function
       | FSat_empty -> Formula.true_
-      | FSat e ->
-          Hashtbl.replace issued nid ();
-          Formula.var (Var.Qual_at (nid, e))
+      | FSat e -> Formula.var (Var.Qual_at (i, e))
       | FText_eq s -> Formula.bool (Flat.text_equals flat i s)
       | FVal_cmp (op, num) ->
           Formula.bool
@@ -398,10 +570,7 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
       | Compile.Sat pi ->
           let p = compiled.Compile.paths.(pi) in
           if Array.length p.Compile.items = 0 then Formula.true_
-          else begin
-            Hashtbl.replace issued v.Tree.id ();
-            Formula.var (Var.Qual_at (v.Tree.id, p.Compile.sat.(0)))
-          end
+          else Formula.var (Var.Qual_at (v.Tree.id, p.Compile.sat.(0)))
       | Compile.Text_eq s -> Formula.bool (Tree.text_of v = s)
       | Compile.Val_cmp (op, num) ->
           Formula.bool
@@ -420,52 +589,18 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
     in
     go q
   in
-  let rec go_slot i ~is_context (sv_p : Formula.t array) : Formula.t array =
-    let vfid = Flat.virtual_fid flat i in
-    if vfid >= 0 then begin
-      contexts := (vfid, Array.copy sv_p) :: !contexts;
-      Array.init n_qual (fun e -> Formula.var (Var.Qual (vfid, e)))
-    end
-    else begin
-      ops := !ops + n_sel;
-      let sv = Array.make n_sel Formula.false_ in
-      sv.(0) <- Formula.bool is_context;
-      let tagc = Flat.tag_code flat i in
-      Array.iteri
-        (fun j item ->
-          let ix = j + 1 in
-          match item with
-          | FMove code ->
-              sv.(ix) <-
-                (if code = -2 || code = tagc then sv_p.(j) else Formula.false_)
-          | FDos -> sv.(ix) <- Formula.disj sv_p.(ix) sv.(ix - 1)
-          | FFilter q ->
-              sv.(ix) <-
-                (if sv.(ix - 1) = Formula.false_ then Formula.false_
-                 else Formula.conj sv.(ix - 1) (sat_pre_slot i q)))
-        plan.fsel;
-      if sv.(last) <> Formula.false_ then
-        pending := (Flat.orig flat i, sv.(last)) :: !pending;
-      let rec kids c acc =
-        if c < 0 then List.rev acc
-        else
-          kids (Flat.next_sibling flat c) (go_slot c ~is_context:false sv :: acc)
-      in
-      let child_vecs = kids (Flat.first_child flat i) [] in
-      ops := !ops + (n_qual * (1 + List.length child_vecs));
-      let exists_child e =
-        List.fold_left
-          (fun acc cv -> Formula.disj acc cv.(e))
-          Formula.false_ child_vecs
-      in
-      let qvec = feval_entries plan flat i ~exists_child in
-      let nid = Flat.node_id flat i in
-      if Hashtbl.mem issued nid then
-        List.iter (fun e -> Hashtbl.replace sigma (nid, e) qvec.(e)) placeholders;
-      qvec
-    end
+  let emit i = function
+    | Formula.False -> ()
+    | f -> pending := (Flat.orig flat i, f) :: !pending
   in
-  let root_qvec =
+  let walk ~is_context init =
+    let walk_ops, contexts =
+      sel_walk plan flat ~init ~is_context ~sat:sat_pre_slot ~emit
+    in
+    ops := !ops + walk_ops;
+    contexts
+  in
+  let root_qvec, contexts =
     if is_root && compiled.Compile.absolute then begin
       let wrapper = fst (Sel_pass.context_root compiled (Flat.root flat)) in
       ops := !ops + n_sel;
@@ -487,18 +622,20 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
         compiled.Compile.sel;
       if sv.(last) <> Formula.false_ then
         pending := (wrapper, sv.(last)) :: !pending;
-      let child_vecs = [ go_slot 0 ~is_context:false sv ] in
-      let qvec = Qual_pass.eval_node compiled ~ops wrapper child_vecs in
-      if Hashtbl.mem issued wrapper.Tree.id then
-        List.iter
-          (fun e -> Hashtbl.replace sigma (wrapper.Tree.id, e) qvec.(e))
-          placeholders;
-      qvec
+      let contexts = walk ~is_context:false sv in
+      let qvec =
+        Qual_pass.eval_node compiled ~ops wrapper [ vector qv ~n_qual 0 ]
+      in
+      (qvec, contexts)
     end
-    else go_slot 0 ~is_context:is_root init
+    else begin
+      let contexts = walk ~is_context:is_root init in
+      (vector qv ~n_qual 0, contexts)
+    end
   in
   let sigma_lookup = function
-    | Var.Qual_at (nid, e) -> Hashtbl.find_opt sigma (nid, e)
+    | Var.Qual_at (slot, e) ->
+        Some (if slot >= 0 then entry qv slot e else root_qvec.(e))
     | Var.Qual _ | Var.Sel_ctx _ -> None
   in
   let answers = ref [] in
@@ -513,9 +650,9 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
       | None -> candidates := (v, g) :: !candidates)
     (List.rev !pending);
   let contexts =
-    List.rev_map
+    List.map
       (fun (fid, vec) -> (fid, Array.map (Formula.subst sigma_lookup) vec))
-      !contexts
+      contexts
   in
   {
     root_qvec;

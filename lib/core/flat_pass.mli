@@ -23,7 +23,9 @@ val enabled : unit -> bool
 
 (** A compiled query lowered against one store's intern table: tag
     tests and attribute-key names as int codes.  Build once per run
-    (the table is store-wide, so one plan serves every fragment). *)
+    (the table is store-wide, so one plan serves every fragment),
+    before the round whose visits use it: it is immutable, so visits
+    on any domain may share it. *)
 type plan
 
 (** [make_plan compiled intern] looks codes up without inserting; a
@@ -32,15 +34,20 @@ val make_plan : Pax_xpath.Compile.t -> Pax_xml.Intern.t -> plan
 
 (** {1 Qualifier pass} — {!Qual_pass.run} over a flat image. *)
 
-type qual = {
-  q_flat : Pax_xml.Flat.t;
-  q_vecs : Formula.t array array;  (** slot → qualifier vector *)
-  q_wrap : (Pax_xml.Tree.node * Formula.t array) option;
-      (** the materialized [#document] wrapper and its vector, when the
-          eval root was wrapped *)
-  q_root_vec : Formula.t array;  (** eval root's vector (wrapper if any) *)
-  q_ops : int;
-}
+(** One fragment's qualifier vectors.  Entries with no residual
+    variable are held as bits; only the symbolic spine above the
+    fragment's virtual slots holds formulas (docs/FLATTREE.md). *)
+type qual
+
+(** The eval root's vector (the [#document] wrapper's, when the root
+    fragment of an absolute query was wrapped). *)
+val qual_root_vec : qual -> Formula.t array
+
+(** Operations the pass performed. *)
+val qual_ops : qual -> int
+
+(** The image the pass ran on: its slots index the vectors. *)
+val qual_flat : qual -> Pax_xml.Flat.t
 
 (** [qual_run plan flat ~is_root] — bottom-up qualifier vectors for
     every slot; [is_root] marks fragment 0, whose root an absolute
@@ -49,7 +56,8 @@ val qual_run : plan -> Pax_xml.Flat.t -> is_root:bool -> qual
 
 (** [qual_resolve q lookup] substitutes boundary variables in every
     stored vector in place (wrapper included), returning the operation
-    count — same as {!Qual_pass.resolve}. *)
+    count — same as {!Qual_pass.resolve}: every entry of every slot is
+    counted, though only symbolic ones can change. *)
 val qual_resolve : qual -> (Pax_bool.Var.t -> Formula.t option) -> int
 
 (** {1 Selection pass} — {!Sel_pass.run} over a flat image. *)
@@ -59,7 +67,9 @@ val qual_resolve : qual -> (Pax_bool.Var.t -> Formula.t option) -> int
     when [None]: no qualifier entries).  [is_root] plays the role of
     [root_is_context] and selects [#document] wrapping for absolute
     queries.  Answer and candidate nodes are the live pointer nodes
-    ([Flat.orig]), so downstream resolution is unchanged. *)
+    ([Flat.orig]), so downstream resolution is unchanged.  Subtrees
+    whose selection vectors are all [False] are skipped, their ops and
+    contexts accounted as if walked. *)
 val sel_run :
   plan ->
   Pax_xml.Flat.t ->
@@ -80,12 +90,10 @@ type combined_outcome = {
   ops : int;
 }
 
-(** The qualifier entries selection filters consult (sorted, unique). *)
-val placeholder_entries : Pax_xpath.Compile.t -> int list
-
-(** [combined_run plan flat ~init ~is_root] — pre-order selection with
-    placeholder qualifiers interleaved with post-order qualifier
-    vectors, local placeholders resolved before returning; mirror of
+(** [combined_run plan flat ~init ~is_root] — PaX2's one traversal:
+    every slot's qualifier vector, then pre-order selection with
+    placeholder qualifiers, local placeholders resolved before
+    returning; same outcome, formula for formula, as
     [Pax2.Combined.run]. *)
 val combined_run :
   plan ->

@@ -19,7 +19,8 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
   let use_flat =
     match flat with Some b -> b | None -> Flat_pass.enabled ()
   in
-  let fplan = lazy (Flat_pass.make_plan compiled (Fragment.intern ft)) in
+  (* Built before the round: the visits share it across domains. *)
+  let fplan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let root_vecs : Formula.t array option array = Array.make n_frag None in
   let sites = Cluster.sites_holding cl (Fragment.top_down ft) in
   (* Keyed by fid: a replayed visit under a fault plan neither
@@ -33,11 +34,11 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
                  (* The query is relative, so the root fragment's eval
                     root is never wrapped. *)
                  let fq =
-                   Flat_pass.qual_run (Lazy.force fplan)
+                   Flat_pass.qual_run fplan
                      (Fragment.flat ft fid) ~is_root:false
                  in
-                 root_vecs.(fid) <- Some fq.Flat_pass.q_root_vec;
-                 Cluster.add_ops cl ~site fq.Flat_pass.q_ops
+                 root_vecs.(fid) <- Some (Flat_pass.qual_root_vec fq);
+                 Cluster.add_ops cl ~site (Flat_pass.qual_ops fq)
                end
                else begin
                  let root = (Fragment.fragment ft fid).Fragment.root in

@@ -160,9 +160,9 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
   let use_flat =
     match flat with Some b -> b | None -> Flat_pass.enabled ()
   in
-  let fplan =
-    lazy (Flat_pass.make_plan compiled (Fragment.intern ft))
-  in
+  (* Built before the first round: the visits share it across
+     domains. *)
+  let fplan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let analysis = if annotations then Some (Annot.analyze compiled ft) else None in
   let relevant fid =
     match analysis with None -> true | Some a -> a.Annot.relevant.(fid)
@@ -242,7 +242,7 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
         if relevant fid && not s1_seen.(fid) then begin
           let oc =
             if use_flat then
-              Flat_pass.combined_run (Lazy.force fplan)
+              Flat_pass.combined_run fplan
                 (Fragment.flat ft fid) ~init:(init_for fid)
                 ~is_root:(fid = 0)
             else

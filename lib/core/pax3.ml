@@ -24,9 +24,9 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
   let use_flat =
     match flat with Some b -> b | None -> Flat_pass.enabled ()
   in
-  let fplan =
-    lazy (Flat_pass.make_plan compiled (Fragment.intern ft))
-  in
+  (* Built before the first round: the visits share it across
+     domains. *)
+  let fplan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let analysis = if annotations then Some (Annot.analyze compiled ft) else None in
   let relevant_sel fid =
     match analysis with None -> true | Some a -> a.Annot.relevant_sel.(fid)
@@ -73,12 +73,12 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
             if not q1_seen.(fid) then begin
               (if use_flat then begin
                  let fq =
-                   Flat_pass.qual_run (Lazy.force fplan)
+                   Flat_pass.qual_run fplan
                      (Fragment.flat ft fid) ~is_root:(fid = 0)
                  in
                  fq_store.(fid) <- Some fq;
-                 q1_vec.(fid) <- fq.Flat_pass.q_root_vec;
-                 Cluster.add_ops cl ~site fq.Flat_pass.q_ops
+                 q1_vec.(fid) <- Flat_pass.qual_root_vec fq;
+                 Cluster.add_ops cl ~site (Flat_pass.qual_ops fq)
                end
                else begin
                  let qp = Qual_pass.run compiled eval_roots.(fid) in
@@ -176,10 +176,10 @@ let run ?(annotations = false) ?flat (cl : Cluster.t) (q : Query.t) :
                  resolved qualifier vectors. *)
               let fl =
                 match fq_store.(fid) with
-                | Some fq -> fq.Flat_pass.q_flat
+                | Some fq -> Flat_pass.qual_flat fq
                 | None -> Fragment.flat ft fid
               in
-              Flat_pass.sel_run (Lazy.force fplan) fl ~init:(init_for fid)
+              Flat_pass.sel_run fplan fl ~init:(init_for fid)
                 ~is_root:(fid = 0) ~qual:fq_store.(fid)
             end
             else begin

@@ -16,7 +16,8 @@ module Combined = Pax_core.Pax2.Combined
    so re-execution would corrupt them. *)
 type run_state = {
   rs_run : int;
-  mutable rs_query : (string * Query.t) option;
+  mutable rs_query : (string * Query.t * Flat_pass.plan) option;
+      (* the run's query, parsed, and its flat plan *)
   rs_pax2 : (int, Combined.outcome) Hashtbl.t;
   rs_qp : (int, Qual_pass.t) Hashtbl.t;
   rs_fq : (int, Flat_pass.qual) Hashtbl.t;  (* flat twin of rs_qp *)
@@ -210,14 +211,16 @@ let gfrag_of t fid =
   | None ->
       failwith (Printf.sprintf "site server holds no graph fragment %d" fid)
 
-(* All stages of one run evaluate the same query; compile it once. *)
-let query_of st source =
+(* All stages of one run evaluate the same query; compile it and
+   lower its flat plan once. *)
+let query_of t st source =
   match st.rs_query with
-  | Some (src, q) when src = source -> q
+  | Some (src, q, plan) when src = source -> (q, plan)
   | _ ->
       let q = Query.of_string source in
-      st.rs_query <- Some (source, q);
-      q
+      let plan = Flat_pass.make_plan q.Query.compiled t.intern in
+      st.rs_query <- Some (source, q, plan);
+      (q, plan)
 
 let eval_root compiled ~is_root root =
   if is_root then fst (Sel_pass.context_root compiled root) else root
@@ -255,7 +258,7 @@ let handle_call t ~run call =
   let st = state_for t run in
   match call with
   | Wire.Pax2_stage1 { query; frags } ->
-      let q = query_of st query in
+      let q, plan = query_of t st query in
       let compiled = q.Query.compiled in
       Wire.Frag_results
         (List.map
@@ -265,9 +268,7 @@ let handle_call t ~run call =
              let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
              let oc =
                if t.flat then
-                 Flat_pass.combined_run
-                   (Flat_pass.make_plan compiled t.intern)
-                   (frag_flat t fid) ~init ~is_root
+                 Flat_pass.combined_run plan (frag_flat t fid) ~init ~is_root
                else
                  Combined.run compiled ~init ~root_is_context:is_root
                    (eval_root compiled ~is_root (frag_root t fid))
@@ -307,7 +308,7 @@ let handle_call t ~run call =
       Wire.Final_answers
         { answers = List.map Wire.answer_of_node answers; ops = !ops }
   | Wire.Pax3_stage1 { query; fids } ->
-      let q = query_of st query in
+      let q, plan = query_of t st query in
       let compiled = q.Query.compiled in
       Wire.Frag_results
         (List.map
@@ -315,13 +316,9 @@ let handle_call t ~run call =
              let is_root = fid = 0 in
              let vec, ops =
                if t.flat then begin
-                 let fq =
-                   Flat_pass.qual_run
-                     (Flat_pass.make_plan compiled t.intern)
-                     (frag_flat t fid) ~is_root
-                 in
+                 let fq = Flat_pass.qual_run plan (frag_flat t fid) ~is_root in
                  Hashtbl.replace st.rs_fq fid fq;
-                 (fq.Flat_pass.q_root_vec, fq.Flat_pass.q_ops)
+                 (Flat_pass.qual_root_vec fq, Flat_pass.qual_ops fq)
                end
                else begin
                  let qp =
@@ -342,7 +339,7 @@ let handle_call t ~run call =
              })
            fids)
   | Wire.Pax3_stage2 { query; frags } ->
-      let q = query_of st query in
+      let q, plan = query_of t st query in
       let compiled = q.Query.compiled in
       Wire.Frag_results
         (List.map
@@ -355,7 +352,6 @@ let handle_call t ~run call =
              let init = init_of compiled ~fid ~is_root fe.Wire.fe_init in
              let resolve_ops, oc =
                if t.flat then begin
-                 let plan = Flat_pass.make_plan compiled t.intern in
                  let fq = Hashtbl.find_opt st.rs_fq fid in
                  let resolve_ops =
                    match fq with

@@ -28,6 +28,7 @@ type t = {
   subtree_size : int array;  (* slot -> slots in its subtree, itself included *)
   tag : int array;  (* slot -> intern code of the tag *)
   vfid : int array;  (* slot -> virtual fragment id; -1 for elements *)
+  virtuals : int array;  (* the virtual slots, ascending (preorder) *)
   text_off : int array;  (* slot -> offset into [buf]; -1 encodes None *)
   text_len : int array;
   attr_start : int array;  (* slot -> first row in the attr columns *)
@@ -57,6 +58,16 @@ let tag_code t i = t.tag.(i)
 let tag_name t i = Intern.name t.intern t.tag.(i)
 let virtual_fid t i = t.vfid.(i)
 let is_virtual t i = t.vfid.(i) >= 0
+let n_virtual t = Array.length t.virtuals
+let virtual_slot t k = t.virtuals.(k)
+
+(* Derived at build and at decode, so the wire image is unchanged. *)
+let virtuals_of vfid =
+  let acc = ref [] in
+  for i = Array.length vfid - 1 downto 0 do
+    if vfid.(i) >= 0 then acc := i :: !acc
+  done;
+  Array.of_list !acc
 
 let n_children t i =
   let rec go c acc = if c < 0 then acc else go t.next_sibling.(c) (acc + 1) in
@@ -143,6 +154,7 @@ let of_tree ?(intern = Intern.create ()) (root : Tree.node) =
     subtree_size;
     tag;
     vfid;
+    virtuals = virtuals_of vfid;
     text_off;
     text_len;
     attr_start;
@@ -452,6 +464,7 @@ let decode ?(intern = Intern.create ()) s =
       subtree_size;
       tag;
       vfid;
+      virtuals = virtuals_of vfid;
       text_off;
       text_len;
       attr_start;

@@ -48,6 +48,13 @@ val virtual_fid : t -> int -> int  (** [-1] for elements *)
 
 val is_virtual : t -> int -> bool
 
+(** Number of virtual slots. *)
+val n_virtual : t -> int
+
+(** [virtual_slot t k] — the [k]-th virtual slot in preorder
+    ([0 <= k < n_virtual t]); ascending in [k]. *)
+val virtual_slot : t -> int -> int
+
 (** The pointer node slot [i] was built from (or a materialized
     equivalent after {!decode}) — answers ship physical nodes. *)
 val orig : t -> int -> Tree.node

@@ -18,6 +18,12 @@ module Run_result = Pax_core.Run_result
 module Engines = Pax_core.Engines
 module Pe = Pax_engine.Pe
 module Xmark = Pax_xmark.Xmark
+module Formula = Pax_bool.Formula
+module Var = Pax_bool.Var
+module Flat_pass = Pax_core.Flat_pass
+module Qual_pass = Pax_core.Qual_pass
+module Sel_pass = Pax_core.Sel_pass
+module Combined = Pax_core.Pax2.Combined
 module H = Test_helpers
 module G = QCheck.Gen
 
@@ -216,35 +222,245 @@ let direct_obs ~ename runner ~flat cl text =
   | o -> Completed o
   | exception Cluster.Site_unreachable _ -> Unreachable
 
-let flat_seam ~fault ((s : H.Gen.scenario), seed) =
-  let cl = s.H.Gen.s_cluster in
-  let text = Ast.to_string s.H.Gen.s_query in
-  let qual_text =
-    Format.asprintf "%a" Ast.pp_qual (Ast.QPath s.H.Gen.s_query.Ast.path)
-  in
+(* The first engine whose flat run differs from its pointer run, on
+   [cl] under identically seeded fault plans ([fault] chooses seeded
+   or none). *)
+let flat_divergence ~fault cl (query : Ast.t) seed =
+  let text = Ast.to_string query in
+  let qual_text = Format.asprintf "%a" Ast.pp_qual (Ast.QPath query.Ast.path) in
   let plan () = if fault then mk_fault seed else Fault.none in
-  let check name via_flat via_ptr =
-    if via_flat <> via_ptr then
+  let differs name runner =
+    Cluster.set_fault cl (plan ());
+    let via_ptr = runner ~flat:false in
+    Cluster.set_fault cl (plan ());
+    let via_flat = runner ~flat:true in
+    if via_flat <> via_ptr then Some (name, via_flat, via_ptr) else None
+  in
+  match
+    List.find_map
+      (fun (name, runner) ->
+        differs name (fun ~flat -> direct_obs ~ename:name runner ~flat cl text))
+      flat_runners
+  with
+  | Some d -> Some d
+  | None ->
+      differs "parbox" (fun ~flat -> direct_parbox ~flat cl qual_text)
+
+let flat_seam ~fault ((s : H.Gen.scenario), seed) =
+  match flat_divergence ~fault s.H.Gen.s_cluster s.H.Gen.s_query seed with
+  | None -> true
+  | Some (name, via_flat, via_ptr) ->
       QCheck.Test.fail_reportf "%s: flat diverges@.flat:    %a@.pointer: %a"
         name explain via_flat explain via_ptr
-    else true
+
+(* The kernel seam, one level down: every flat pass against its
+   pointer pass on every fragment, whole outcomes compared — vectors,
+   candidate formulas, contexts, ops — not just their projection
+   through a run.  The qualifier vectors are resolved partially (some
+   boundary entries become constants, the rest stay symbolic) before
+   the selection pass reads them; non-root fragments run from both a
+   symbolic and an all-[False] parent vector (a dead fragment root). *)
+let kernel_divergence ft (q : Query.t) =
+  let compiled = q.Query.compiled in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
+  let ids = List.map (fun (n : Tree.node) -> n.Tree.id) in
+  let cands = List.map (fun ((n : Tree.node), f) -> (n.Tree.id, f)) in
+  let lookup = function
+    | Var.Qual (f, e) when (f + e) mod 3 <> 0 ->
+        Some (Formula.bool (((7 * f) + e) mod 2 = 0))
+    | Var.Qual _ | Var.Sel_ctx _ | Var.Qual_at _ -> None
   in
-  List.for_all
-    (fun (name, runner) ->
-      Cluster.set_fault cl (plan ());
-      let via_ptr = direct_obs ~ename:name runner ~flat:false cl text in
-      Cluster.set_fault cl (plan ());
-      let via_flat = direct_obs ~ename:name runner ~flat:true cl text in
-      check name via_flat via_ptr)
-    flat_runners
-  &&
-  begin
-    Cluster.set_fault cl (plan ());
-    let via_ptr = direct_parbox ~flat:false cl qual_text in
-    Cluster.set_fault cl (plan ());
-    let via_flat = direct_parbox ~flat:true cl qual_text in
-    check "parbox" via_flat via_ptr
-  end
+  let checks fid =
+    let root = (Fragment.fragment ft fid).Fragment.root in
+    let flat = Fragment.flat ft fid in
+    let is_root = fid = 0 in
+    let eval_root =
+      if is_root then fst (Sel_pass.context_root compiled root) else root
+    in
+    let qp = Qual_pass.run compiled eval_root in
+    let fq = Flat_pass.qual_run plan flat ~is_root in
+    let same_root () = qp.Qual_pass.root_vec = Flat_pass.qual_root_vec fq in
+    let qual =
+      [
+        ("qual ops", qp.Qual_pass.ops = Flat_pass.qual_ops fq);
+        ("qual root vector", same_root ());
+      ]
+    in
+    (* In place, on both sides, before the selection passes read them. *)
+    let same_resolve_ops =
+      Qual_pass.resolve qp lookup = Flat_pass.qual_resolve fq lookup
+    in
+    let resolved =
+      [
+        ("resolve ops", same_resolve_ops);
+        ("resolved root vector", same_root ());
+      ]
+    in
+    let inits =
+      if is_root then [ ("blank", Sel_pass.blank_init compiled) ]
+      else
+        [
+          ("symbolic", Sel_pass.symbolic_init compiled ~fid);
+          ("dead", Array.make compiled.Pax_xpath.Compile.n_sel Formula.false_);
+        ]
+    in
+    let passes (name, init) =
+      let sat (v : Tree.node) filter =
+        Qual_pass.sat compiled
+          (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
+          v filter
+      in
+      let sp =
+        Sel_pass.run compiled ~init ~root_is_context:is_root ~sat eval_root
+      in
+      let sf = Flat_pass.sel_run plan flat ~init ~is_root ~qual:(Some fq) in
+      let cp =
+        Combined.run compiled ~init ~root_is_context:is_root eval_root
+      in
+      let cf = Flat_pass.combined_run plan flat ~init ~is_root in
+      List.map
+        (fun (what, same) -> (Printf.sprintf "%s (%s init)" what name, same))
+        [
+          ("sel ops", sp.Sel_pass.ops = sf.Sel_pass.ops);
+          ("sel answers", ids sp.Sel_pass.answers = ids sf.Sel_pass.answers);
+          ( "sel candidates",
+            cands sp.Sel_pass.candidates = cands sf.Sel_pass.candidates );
+          ("sel contexts", sp.Sel_pass.contexts = sf.Sel_pass.contexts);
+          ("combined ops", cp.Combined.ops = cf.Combined.ops);
+          ( "combined root vector",
+            cp.Combined.root_qvec = cf.Combined.root_qvec );
+          ( "combined answers",
+            ids cp.Combined.answers = ids cf.Combined.answers );
+          ( "combined candidates",
+            cands cp.Combined.candidates = cands cf.Combined.candidates );
+          ("combined contexts", cp.Combined.contexts = cf.Combined.contexts);
+        ]
+    in
+    qual @ resolved @ List.concat_map passes inits
+  in
+  List.find_map
+    (fun fid ->
+      List.find_map
+        (fun (what, same) ->
+          if same then None
+          else Some (Printf.sprintf "fragment %d: %s differs" fid what))
+        (checks fid))
+    (Fragment.top_down ft)
+
+let kernel_seam ((s : H.Gen.scenario), _) =
+  let ft = Cluster.ftree s.H.Gen.s_cluster in
+  let q = Query.of_string (Ast.to_string s.H.Gen.s_query) in
+  match kernel_divergence ft q with
+  | None -> true
+  | Some what ->
+      QCheck.Test.fail_reportf "%s on %s" what (Ast.to_string s.H.Gen.s_query)
+
+(* Directed inputs for the flat seams, aimed at the kernels' two
+   shortcuts.  The document:
+
+   {v
+   r ── a(x) ─┬─ b ─┬─ c(10)          a: ground and symbolic children
+              │     └─ c(7)
+              ├─ b* ─── c(10) ── d    * = fragment cut
+              └─ b ─── d(y)
+     ── x ────┬─ y* ── a ── b ── c    x: dead under /r/a/..., with
+              └─ y ─── z* ── a ── b   virtual nodes two levels down
+     ── a ──── b* ── c(2.5)
+   v}
+
+   Queries select through [a] (so [x] dies with virtual nodes below
+   it), filter on [a]'s mixed children and on slot 0 below the
+   [#document] wrapper (slot and wrapper placeholders must not mix),
+   and one carries more than 62 qualifier entries (several mask
+   words). *)
+let directed_doc () =
+  let b = Tree.builder () in
+  let cuts = ref [] in
+  let cut (n : Tree.node) =
+    cuts := n.Tree.id :: !cuts;
+    n
+  in
+  let e ?text tag kids = Tree.elem b ?text tag kids in
+  let root =
+    e "r"
+      [
+        e ~text:"x" "a"
+          [
+            e "b" [ e ~text:"10" "c" []; e ~text:"7" "c" [] ];
+            cut (e "b" [ e ~text:"10" "c" [ e "d" [] ] ]);
+            e "b" [ e ~text:"y" "d" [] ];
+          ];
+        e "x"
+          [
+            cut (e "y" [ e "a" [ e "b" [ e "c" [] ] ] ]);
+            e "y" [ cut (e "z" [ e "a" [ e "b" [] ] ]) ];
+          ];
+        e "a" [ cut (e "b" [ e ~text:"2.5" "c" [] ]) ];
+      ]
+  in
+  (Tree.doc_of_root root, List.rev !cuts)
+
+let wide_query =
+  let tags = [ "a"; "b"; "c"; "d"; "y"; "z" ] in
+  let paths =
+    List.concat_map
+      (fun t1 ->
+        List.map
+          (fun t2 ->
+            if t1 = t2 then Printf.sprintf ".//%s[%s]" t1 t2
+            else t1 ^ "/" ^ t2)
+          tags)
+      tags
+  in
+  Printf.sprintf "/r/a[%s]/b" (String.concat " or " paths)
+
+let directed_queries =
+  [
+    "/r/a/b";
+    "/r/a[b/c > 8]/b";
+    "r/a[b/c and not(b/d)]";
+    "/r[a/b and x]//c";
+    "//a[b/c]";
+    "/r/x/y/z/a";
+    "/r/q//b";
+    "//b[c = \"10\"]/c";
+    wide_query;
+  ]
+
+(* Every placement shape: all fragments on one site, one site each,
+   and two sites alternating. *)
+let directed_clusters () =
+  let doc, cuts = directed_doc () in
+  let ft = Fragment.fragmentize doc ~cuts in
+  let n = Fragment.n_fragments ft in
+  List.map
+    (fun (n_sites, assign) -> Cluster.create ~ftree:ft ~n_sites ~assign ())
+    [ (1, fun _ -> 0); (n, Fun.id); (2, fun fid -> fid mod 2) ]
+
+let test_directed_flat () =
+  let wide = Query.of_string wide_query in
+  if wide.Query.compiled.Pax_xpath.Compile.n_qual <= 62 then
+    Alcotest.failf "wide query has only %d qualifier entries"
+      wide.Query.compiled.Pax_xpath.Compile.n_qual;
+  List.iter
+    (fun cl ->
+      List.iter
+        (fun text ->
+          let query = Pax_xpath.Parse.query text in
+          let ft = Cluster.ftree cl in
+          (match kernel_divergence ft (Query.of_string text) with
+          | Some what -> Alcotest.failf "%s: %s" text what
+          | None -> ());
+          List.iter
+            (fun (fault, seed) ->
+              match flat_divergence ~fault cl query seed with
+              | None -> ()
+              | Some (name, via_flat, via_ptr) ->
+                  Alcotest.failf "%s, %s (fault seed %d): flat %a, pointer %a"
+                    text name seed explain via_flat explain via_ptr)
+            [ (false, 0); (true, 1); (true, 2); (true, 3) ])
+        directed_queries)
+    (directed_clusters ())
 
 let arbitrary_faulty =
   QCheck.make
@@ -331,5 +547,9 @@ let () =
             (flat_seam ~fault:false);
           qtest "flat = pointer, bit for bit (faults)" ~count:150
             (flat_seam ~fault:true);
+          qtest "flat kernels = pointer kernels, formula for formula"
+            ~count:300 kernel_seam;
+          Alcotest.test_case "flat = pointer on directed inputs" `Quick
+            test_directed_flat;
         ] );
     ]

@@ -111,6 +111,12 @@ let check_accessors fl root =
       if Flat.subtree_size fl i <> size then fail "slot %d: subtree_size" i)
     nodes;
   if Flat.parent fl 0 <> -1 then fail "root parent";
+  (* The virtual-slot column: exactly the virtual slots, ascending. *)
+  let virtuals =
+    List.filter (Flat.is_virtual fl) (List.init (Flat.length fl) Fun.id)
+  in
+  if List.init (Flat.n_virtual fl) (Flat.virtual_slot fl) <> virtuals then
+    fail "virtual slots differ";
   true
 
 let check_image fl root =
