@@ -1,6 +1,7 @@
-(* Bechamel micro-benchmarks of the evaluation kernels: the bottom-up
-   qualifier pass, the top-down selection pass, PaX2's combined
-   traversal, query compilation and formula operations. *)
+(* Bechamel micro-benchmarks of the evaluation kernels: the flat
+   stage kernel's bottom-up qualifier pass, top-down selection pass
+   and PaX2's combined traversal, the centralized and streaming
+   engines, query compilation and formula operations. *)
 
 open Bechamel
 open Toolkit
@@ -13,25 +14,17 @@ module Var = Pax_bool.Var
 let doc = Pax_xmark.Xmark.doc ~seed:5 ~total_nodes:8_000 ~n_sites:1
 let q3 = Query.of_string Pax_xmark.Xmark.q3
 let compiled = q3.Query.compiled
-
-let ground_sat =
-  let qp = Pax_core.Qual_pass.run compiled doc.Tree.root in
-  fun (v : Tree.node) filter ->
-    Pax_core.Qual_pass.sat compiled
-      (Hashtbl.find qp.Pax_core.Qual_pass.vectors v.Tree.id)
-      v filter
-
 let q1 = Query.of_string Pax_xmark.Xmark.q1
-let sj_index = Pax_core.Struct_join.build doc.Tree.root
 
 (* The flat image and plan, built once as a store does at load; the
-   flat sel/combined rows run with [is_root:true], which for the
-   absolute Q3 adds the one-node #document wrapper — noise at 8k
-   nodes, same shape as the engines' fragment-0 stage. *)
+   sel/combined rows run with [is_root:true], which for the absolute
+   Q3 adds the one-node #document wrapper — noise at 8k nodes, same
+   shape as the engines' fragment-0 stage. *)
 let ft = Pax_frag.Fragment.trivial doc
 let fl = Pax_frag.Fragment.flat ft 0
 let fplan = Pax_core.Flat_pass.make_plan compiled (Pax_frag.Fragment.intern ft)
 let fq = Pax_core.Flat_pass.qual_run fplan fl ~is_root:false
+let blank = Pax_core.Sel_pass.blank_init compiled
 
 let residual =
   Formula.or_
@@ -44,29 +37,15 @@ let tests =
   Test.make_grouped ~name:"kernels"
     [
       Test.make ~name:"qualifier-pass (8k nodes)"
-        (Staged.stage (fun () -> Pax_core.Qual_pass.run compiled doc.Tree.root));
-      Test.make ~name:"qualifier-pass flat (8k nodes)"
         (Staged.stage (fun () ->
              Pax_core.Flat_pass.qual_run fplan fl ~is_root:false));
       Test.make ~name:"selection-pass (8k nodes)"
         (Staged.stage (fun () ->
-             Pax_core.Sel_pass.run compiled
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
-               ~root_is_context:true ~sat:ground_sat doc.Tree.root));
-      Test.make ~name:"selection-pass flat (8k nodes)"
-        (Staged.stage (fun () ->
-             Pax_core.Flat_pass.sel_run fplan fl
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
-               ~is_root:true ~qual:(Some fq)));
+             Pax_core.Flat_pass.sel_run fplan fl ~init:blank ~is_root:true
+               ~qual:(Some fq)));
       Test.make ~name:"combined-pass (8k nodes)"
         (Staged.stage (fun () ->
-             Pax_core.Pax2.Combined.run compiled
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
-               ~root_is_context:true doc.Tree.root));
-      Test.make ~name:"combined-pass flat (8k nodes)"
-        (Staged.stage (fun () ->
-             Pax_core.Flat_pass.combined_run fplan fl
-               ~init:(Pax_core.Sel_pass.blank_init compiled)
+             Pax_core.Flat_pass.combined_run fplan fl ~init:blank
                ~is_root:true));
       Test.make ~name:"centralized Q3 (8k nodes)"
         (Staged.stage (fun () -> Pax_core.Centralized.run q3 doc.Tree.root));
@@ -75,8 +54,6 @@ let tests =
          (Staged.stage (fun () -> Pax_core.Stream_eval.over_string q3 xml)));
       Test.make ~name:"centralized Q1 (8k nodes)"
         (Staged.stage (fun () -> Pax_core.Centralized.run q1 doc.Tree.root));
-      Test.make ~name:"struct-join Q1 (8k nodes, shared index)"
-        (Staged.stage (fun () -> Pax_core.Struct_join.run sj_index q1));
       Test.make ~name:"query compile (Q3)"
         (Staged.stage (fun () -> Query.of_string Pax_xmark.Xmark.q3));
       Test.make ~name:"formula subst (8-way residual)"

@@ -5,11 +5,13 @@
    Dispatches on the top-level "bench" field: "scaling" (the multicore
    scaling runs of BENCH_PR2-style files), "throughput" (the serving
    benchmark of bench/throughput.ml), "flat" (the pointer-vs-flat
-   stage kernels of bench/flat_main.ml), "skew" (the hot-shard
-   rebalance runs of bench/skew.ml) or "overload" (the deadline/QoS
-   shedding storms of bench/overload.ml).  Exits 0 when every file is
-   well-formed and carries the fields later PRs' perf tracking relies
-   on; prints what is wrong and exits 1 otherwise.  Used by the
+   stage-kernel timings of BENCH_PR7.json and BENCH_PR12.json, kept as
+   history: the bench that wrote them went with the pointer kernels),
+   "skew" (the hot-shard rebalance runs of bench/skew.ml) or
+   "overload" (the deadline/QoS shedding storms of bench/overload.ml).
+   Exits 0 when every file is well-formed and carries the fields later
+   PRs' perf tracking relies on; prints what is wrong and exits 1
+   otherwise.  Used by the
    @bench-smoke and @check dune aliases so a perf-harness regression
    shows up as a build failure, not as a silently missing or malformed
    artifact. *)
@@ -254,7 +256,7 @@ let check_throughput (v : J.t) =
 
 (* ---------------- the pointer-vs-flat kernel schema ---------------- *)
 
-(* One (query, kernel) row of bench/flat_main.ml. *)
+(* One (query, kernel) row of a "flat" file. *)
 let check_flat_row i r =
   let ctx = Printf.sprintf "results[%d]" i in
   ignore (need_str r ctx "query");

@@ -1,7 +1,6 @@
 module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
 module Compile = Pax_xpath.Compile
-module Formula = Pax_bool.Formula
 
 type result = {
   answers : Tree.node list;
@@ -17,25 +16,18 @@ let run (q : Query.t) (root : Tree.node) : result =
         invalid_arg "Centralized.run: tree contains virtual nodes")
     root;
   let compiled = q.Query.compiled in
-  let eval_root, root_is_context = Sel_pass.context_root compiled root in
-  let qp, qual_ops =
+  let flat = Pax_xml.Flat.of_tree root in
+  let plan = Flat_pass.make_plan compiled (Pax_xml.Flat.intern flat) in
+  let qual, qual_ops =
     if Compile.no_qualifiers compiled then (None, 0)
     else begin
-      let qp = Qual_pass.run compiled eval_root in
-      (Some qp, qp.Qual_pass.ops)
+      let fq = Flat_pass.qual_run plan flat ~is_root:true in
+      (Some fq, Flat_pass.qual_ops fq)
     end
   in
-  let sat v filter =
-    match qp with
-    | None -> Qual_pass.sat compiled [||] v filter
-    | Some qp ->
-        Qual_pass.sat compiled
-          (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
-          v filter
-  in
   let outcome =
-    Sel_pass.run compiled ~init:(Sel_pass.blank_init compiled)
-      ~root_is_context ~sat eval_root
+    Flat_pass.sel_run plan flat ~init:(Sel_pass.blank_init compiled)
+      ~is_root:true ~qual
   in
   assert (outcome.Sel_pass.candidates = []);
   let answers = Sel_pass.real_answers outcome.Sel_pass.answers in

@@ -1,15 +1,14 @@
-(* The engine hot path over flat fragment images (docs/FLATTREE.md).
+(* The stage kernel: the qualifier, selection and combined passes of
+   PaX3, PaX2 and ParBoX over flat fragment images (docs/FLATTREE.md).
 
-   These are the same three passes as {!Sel_pass}, {!Qual_pass} and
-   {!Pax2.Combined} — same recurrences, same evaluation order, same
-   operation counting — re-expressed over {!Pax_xml.Flat} slots: tag
-   tests compare interned int codes, text and attribute tests compare
-   against the shared byte buffer in place, and traversal follows the
-   [first_child]/[next_sibling] int vectors instead of chasing node
-   pointers.  A flat run is bit-identical through every oracle
-   (answers, visit vectors, ops, trace events, audits) —
-   test/test_engine_seam.ml asserts exactly that, clean and under
-   faults.
+   Each pass keeps the paper's recurrences, evaluation order and
+   operation counting over {!Pax_xml.Flat} slots: tag tests compare
+   interned int codes, text and attribute tests compare against the
+   shared byte buffer in place, and traversal follows the
+   [first_child]/[next_sibling] int vectors.  The pointer-walking
+   passes these were derived from live on as a test-only reference
+   (test/helpers/ref_kernel.ml); test/test_engine_seam.ml compares
+   every pass with it, formula for formula, on every fragment.
 
    Two representation choices make the loops cheap without changing a
    single formula or op count:
@@ -20,16 +19,16 @@
      vector as bits in a per-run [int array] (32 entries per word), and
      "some child has entry e" is one OR of the child masks.  Formula
      vectors exist only on the symbolic spine above the virtual slots,
-     built in the pointer pass's construction order.
+     built in the reference pass's construction order.
    - Dead subtrees.  Once a non-context slot's selection vector is all
      [False], so is every selection vector below it: the selection
      half skips the subtree, charging its [n_sel] ops per element slot
      and emitting an all-[False] context per virtual slot, in preorder.
 
    The one node that has no slot is the [#document] context wrapper an
-   absolute query puts above the root fragment; it is evaluated
-   through the original pointer code on a materialized wrapper node
-   ({!Sel_pass.context_root}), keeping parity trivially. *)
+   absolute query puts above the root fragment: [wrapper_qvec] and
+   [wrapper_step] evaluate it from slot 0's vectors through the view
+   kernel {!Qual_pass} shares with the streaming engine. *)
 
 module Tree = Pax_xml.Tree
 module Flat = Pax_xml.Flat
@@ -38,11 +37,6 @@ module Compile = Pax_xpath.Compile
 module Ast = Pax_xpath.Ast
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
-
-(* The flat hot path is the default; PAX_FLAT=0 forces the pointer
-   passes (the seam tests run both and compare). *)
-let enabled () =
-  match Sys.getenv_opt "PAX_FLAT" with Some "0" -> false | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* plans: the compiled query lowered against a store's intern table   *)
@@ -239,7 +233,7 @@ type qvecs = {
 
 let spine_vec qv i = if Array.length qv.spine = 0 then [||] else qv.spine.(i)
 
-(* Slot [i]'s entry [e], as the formula the pointer pass holds. *)
+(* Slot [i]'s entry [e], as a formula. *)
 let entry qv i e =
   let v = spine_vec qv i in
   if Array.length v > 0 then v.(e)
@@ -260,8 +254,8 @@ let qual_fill plan flat ~ops : qvecs =
   in
   let qv = { words = w; masks; spine } in
   let kor = Array.make w 0 in
-  (* The pointer pass's left fold over the children, ground entries
-     read as constants. *)
+  (* A left fold over the children, ground entries read as
+     constants. *)
   let exists_child i e =
     let rec go c acc =
       if c < 0 then acc
@@ -315,11 +309,12 @@ let sat_at flat qv i q =
    preorder walk from slot 0 whose parent vector is [init].  Each
    element slot's vector is filled from its parent's ([sat i q]
    evaluates filter [q] at slot [i]), noting whether any entry is not
-   [False], and its last entry goes to [emit i].  Below a dead slot
-   the walk charges what a full walk would — [n_sel] ops per element
-   slot, an all-[False] context per virtual slot, in preorder — from
-   the slot's [subtree_size] and a cursor over the image's virtual
-   slots.  Returns the ops and the contexts, in preorder. *)
+   [False], and a last entry other than [False] goes to [emit] with
+   the slot's node.  Below a dead slot the walk charges what a full
+   walk would — [n_sel] ops per element slot, an all-[False] context
+   per virtual slot, in preorder — from the slot's [subtree_size] and
+   a cursor over the image's virtual slots.  Returns the ops and the
+   contexts, in preorder. *)
 let sel_walk plan flat ~init ~is_context ~sat ~emit =
   let n = plan.compiled.Compile.n_sel in
   let ops = ref 0 in
@@ -365,7 +360,9 @@ let sel_walk plan flat ~init ~is_context ~sat ~emit =
         sv.(ix) <- f;
         match f with Formula.False -> () | _ -> live := true
       done;
-      emit i sv.(n - 1);
+      (match sv.(n - 1) with
+      | Formula.False -> ()
+      | f -> emit (Flat.orig flat i) f);
       if !live then begin
         let rec each c =
           if c >= 0 then begin
@@ -382,6 +379,67 @@ let sel_walk plan flat ~init ~is_context ~sat ~emit =
   (!ops, List.rev !contexts)
 
 (* ------------------------------------------------------------------ *)
+(* the #document wrapper                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* What a filter at the wrapper sees: no text, no attributes. *)
+let doc_view =
+  {
+    Qual_pass.vtag = "#document";
+    vtext = "";
+    vnum = None;
+    vattr = (fun _ -> None);
+  }
+
+let wraps plan ~is_root = is_root && plan.compiled.Compile.absolute
+
+(* The wrapper's qualifier vector from slot 0's, charged as any element
+   with one child: [2 * n_qual] ops. *)
+let wrapper_qvec plan ~ops root_vec =
+  let compiled = plan.compiled in
+  ops := !ops + (2 * compiled.Compile.n_qual);
+  Qual_pass.eval_entries compiled doc_view ~exists_child:(fun e ->
+      Formula.disj Formula.false_ root_vec.(e))
+
+(* The wrapper's selection vector from the parent vector [init]
+   ([wsat q] is filter [q] at the wrapper); a last entry other than
+   [False] goes to [emit] with the node {!Sel_pass.context_root}
+   builds. *)
+let wrapper_step plan flat ~init ~wsat ~emit =
+  let compiled = plan.compiled in
+  let n = compiled.Compile.n_sel in
+  let sv = Array.make n Formula.false_ in
+  sv.(0) <- Formula.true_;
+  Array.iteri
+    (fun j item ->
+      sv.(j + 1) <-
+        (match item with
+        | Compile.Move test ->
+            if Compile.matches test doc_view.Qual_pass.vtag then init.(j)
+            else Formula.false_
+        | Compile.Dos_item -> Formula.disj init.(j + 1) sv.(j)
+        | Compile.Filter q ->
+            if sv.(j) = Formula.false_ then Formula.false_
+            else Formula.conj sv.(j) (wsat q)))
+    compiled.Compile.sel;
+  (match sv.(n - 1) with
+  | Formula.False -> ()
+  | f -> emit (fst (Sel_pass.context_root compiled (Flat.root flat))) f);
+  sv
+
+(* The selection half of one fragment: [sel_walk], from the wrapper's
+   vector when [wraps] (charging the wrapper's [n_sel] ops). *)
+let sel_from plan flat ~init ~is_root ~sat ~wsat ~emit =
+  if wraps plan ~is_root then begin
+    let sv = wrapper_step plan flat ~init ~wsat ~emit in
+    let ops, contexts =
+      sel_walk plan flat ~init:sv ~is_context:false ~sat ~emit
+    in
+    (Array.length sv + ops, contexts)
+  end
+  else sel_walk plan flat ~init ~is_context:is_root ~sat ~emit
+
+(* ------------------------------------------------------------------ *)
 (* qualifier pass (PaX3 stage 1, ParBoX)                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -389,9 +447,9 @@ type qual = {
   q_flat : Flat.t;
   q_n_qual : int;
   q_vecs : qvecs;
-  q_wrap : (Tree.node * Formula.t array) option;
-      (* the #document wrapper and its vector, when the eval root was
-         wrapped (root fragment of an absolute query) *)
+  q_wrap : Formula.t array option;
+      (* the #document wrapper's vector, when the root fragment of an
+         absolute query was wrapped *)
   q_root_vec : Formula.t array;  (* eval root's vector (wrapper if any) *)
   q_ops : int;
 }
@@ -399,22 +457,18 @@ type qual = {
 let qual_root_vec q = q.q_root_vec
 let qual_ops q = q.q_ops
 let qual_flat q = q.q_flat
+let qual_vector q i = vector q.q_vecs ~n_qual:q.q_n_qual i
 
-(* Mirror of {!Qual_pass.run} on [eval_root fid]: [is_root] says this
-   is fragment 0, whose root an absolute query wraps in a materialized
-   [#document] node (evaluated through the pointer kernel). *)
+(* Bottom-up qualifier vectors of every slot, plus the wrapper's when
+   [is_root] marks fragment 0 of an absolute query.  A virtual slot
+   costs [n_qual] ops. *)
 let qual_run plan flat ~is_root : qual =
-  let compiled = plan.compiled in
-  let n_qual = compiled.Compile.n_qual in
+  let n_qual = plan.compiled.Compile.n_qual in
   let ops = ref (n_qual * Flat.n_virtual flat) in
   let qv = qual_fill plan flat ~ops in
   let root_vec = vector qv ~n_qual 0 in
   let wrap =
-    if is_root && compiled.Compile.absolute then begin
-      let wrapper = fst (Sel_pass.context_root compiled (Flat.root flat)) in
-      let wvec = Qual_pass.eval_node compiled ~ops wrapper [ root_vec ] in
-      Some (wrapper, wvec)
-    end
+    if wraps plan ~is_root then Some (wrapper_qvec plan ~ops root_vec)
     else None
   in
   {
@@ -422,13 +476,13 @@ let qual_run plan flat ~is_root : qual =
     q_n_qual = n_qual;
     q_vecs = qv;
     q_wrap = wrap;
-    q_root_vec = (match wrap with Some (_, wv) -> wv | None -> root_vec);
+    q_root_vec = Option.value wrap ~default:root_vec;
     q_ops = !ops;
   }
 
-(* Mirror of {!Qual_pass.resolve}: substitute in place, counting every
-   entry of every slot's vector (virtual slots and wrapper included).
-   Ground entries are constants, which substitution leaves alone. *)
+(* Substitute in place, counting every entry of every slot's vector
+   (virtual slots and wrapper included).  Ground entries are
+   constants, which substitution leaves alone. *)
 let qual_resolve q lookup =
   let subst_all vec =
     Array.iteri (fun e f -> vec.(e) <- Formula.subst lookup f) vec
@@ -436,7 +490,7 @@ let qual_resolve q lookup =
   Array.iter subst_all q.q_vecs.spine;
   let n = Flat.length q.q_flat * q.q_n_qual in
   match q.q_wrap with
-  | Some (_, wvec) ->
+  | Some wvec ->
       subst_all wvec;
       n + Array.length wvec
   | None -> n
@@ -445,14 +499,10 @@ let qual_resolve q lookup =
 (* selection pass (PaX3 stage 2)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of {!Sel_pass.run} on [eval_root fid], with qualifier
-   satisfaction read from a resolved flat qualifier pass ([qual]), or
-   trivially (empty vectors) when the query has no qualifier entries. *)
+(* Top-down selection vectors, with qualifier satisfaction read from a
+   resolved qualifier pass ([qual]), or trivially (empty vectors) when
+   the query has no qualifier entries. *)
 let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
-  let compiled = plan.compiled in
-  let n = compiled.Compile.n_sel in
-  let last = n - 1 in
-  let ops = ref 0 in
   let answers = ref [] in
   let candidates = ref [] in
   let sat i q =
@@ -460,64 +510,27 @@ let sel_run plan flat ~init ~is_root ~(qual : qual option) : Sel_pass.outcome =
     | Some qp -> sat_at flat qp.q_vecs i q
     | None -> fsat_view flat [||] i q
   in
-  let emit i = function
-    | Formula.True -> answers := Flat.orig flat i :: !answers
-    | Formula.False -> ()
-    | f -> candidates := (Flat.orig flat i, f) :: !candidates
+  let wvec = match qual with Some { q_wrap = Some wv; _ } -> wv | _ -> [||] in
+  let emit v = function
+    | Formula.True -> answers := v :: !answers
+    | f -> candidates := (v, f) :: !candidates
   in
-  let walk ~is_context init =
-    let walk_ops, contexts = sel_walk plan flat ~init ~is_context ~sat ~emit in
-    ops := !ops + walk_ops;
-    contexts
-  in
-  let contexts =
-    if is_root && compiled.Compile.absolute then begin
-      (* The wrapper through the pointer kernel, its vector from the
-         qualifier pass (stored under the wrapper when it ran wrapped). *)
-      let wrapper, wvec =
-        match qual with
-        | Some { q_wrap = Some (w, wv); _ } -> (w, wv)
-        | _ -> (fst (Sel_pass.context_root compiled (Flat.root flat)), [||])
-      in
-      ops := !ops + n;
-      let sv = Array.make n Formula.false_ in
-      sv.(0) <- Formula.bool true;
-      let items = compiled.Compile.sel in
-      for ix = 1 to Array.length items do
-        match items.(ix - 1) with
-        | Compile.Move test ->
-            sv.(ix) <-
-              (if Compile.matches test wrapper.Tree.tag then init.(ix - 1)
-               else Formula.false_)
-        | Compile.Dos_item -> sv.(ix) <- Formula.disj init.(ix) sv.(ix - 1)
-        | Compile.Filter q ->
-            sv.(ix) <-
-              (if sv.(ix - 1) = Formula.false_ then Formula.false_
-               else
-                 Formula.conj sv.(ix - 1)
-                   (Qual_pass.sat compiled wvec wrapper q))
-      done;
-      (match Formula.to_bool sv.(last) with
-      | Some true -> answers := wrapper :: !answers
-      | Some false -> ()
-      | None -> candidates := (wrapper, sv.(last)) :: !candidates);
-      walk ~is_context:false sv
-    end
-    else walk ~is_context:is_root init
+  let ops, contexts =
+    sel_from plan flat ~init ~is_root ~sat
+      ~wsat:(Qual_pass.sat_view plan.compiled wvec doc_view)
+      ~emit
   in
   {
     Sel_pass.answers = List.rev !answers;
     candidates = List.rev !candidates;
     contexts;
-    ops = !ops;
+    ops;
   }
 
 (* ------------------------------------------------------------------ *)
 (* combined pass (PaX2 stage 1)                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Same record as {!Pax2.Combined.outcome} (re-exported there as an
-   equation, so the wire server and tests see one type). *)
 type combined_outcome = {
   root_qvec : Formula.t array;
   answers : Tree.node list;
@@ -526,22 +539,18 @@ type combined_outcome = {
   ops : int;
 }
 
-(* Mirror of {!Pax2.Combined.run}.  The pointer pass interleaves a
-   pre-order selection half, whose filters read placeholder variables
-   [Qual_at (node, e)], with a post-order qualifier half that binds
+(* PaX2's combined pass.  The paper interleaves a pre-order selection
+   half, whose filters read placeholder variables for qualifier
+   values not yet computed, with a post-order qualifier half that binds
    them, and substitutes the bindings before returning.  Here the
-   qualifier half runs first ([qual_fill]) and the selection half
-   after it, so a placeholder is keyed by slot — [Qual_at (slot, e)],
-   the wrapper's by its negative node id — and is bound by reading the
-   slot's vector.  Placeholders never leave the pass and are renamed
-   one to one, so every formula that does is unchanged; the selection
-   half still builds them, since the ops and pending candidates depend
-   on them. *)
+   qualifier half runs first ([qual_fill]) and the selection half after
+   it, so a placeholder is keyed by slot — [Qual_at (slot, e)], the
+   wrapper's [Qual_at (-1, e)] — and is bound by reading the slot's
+   vector.  Placeholders never leave the pass; the selection half still
+   builds them, since the ops and pending candidates depend on them. *)
 let combined_run plan flat ~init ~is_root : combined_outcome =
   let compiled = plan.compiled in
-  let n_sel = compiled.Compile.n_sel in
   let n_qual = compiled.Compile.n_qual in
-  let last = n_sel - 1 in
   let pending = ref [] in
   let ops = ref 0 in
   let qv = qual_fill plan flat ~ops in
@@ -563,75 +572,20 @@ let combined_run plan flat ~init ~is_root : combined_outcome =
     in
     go q
   in
-  (* Pre-order filter satisfaction for the wrapper node only —
-     identical to the pointer pass's sat_pre. *)
-  let sat_pre_node (v : Tree.node) q =
-    let rec go = function
-      | Compile.Sat pi ->
-          let p = compiled.Compile.paths.(pi) in
-          if Array.length p.Compile.items = 0 then Formula.true_
-          else Formula.var (Var.Qual_at (v.Tree.id, p.Compile.sat.(0)))
-      | Compile.Text_eq s -> Formula.bool (Tree.text_of v = s)
-      | Compile.Val_cmp (op, num) ->
-          Formula.bool
-            (match Tree.float_of v with
-            | Some f -> Ast.compare_num op f num
-            | None -> false)
-      | Compile.Attr_test (name, value) ->
-          Formula.bool
-            (match (Tree.attr v name, value) with
-            | Some _, None -> true
-            | Some actual, Some expected -> actual = expected
-            | None, _ -> false)
-      | Compile.Qnot q -> Formula.not_ (go q)
-      | Compile.Qand (a, b) -> Formula.conj (go a) (go b)
-      | Compile.Qor (a, b) -> Formula.disj (go a) (go b)
+  let wsat q =
+    let placeholders =
+      Array.init n_qual (fun e -> Formula.var (Var.Qual_at (-1, e)))
     in
-    go q
+    Qual_pass.sat_view compiled placeholders doc_view q
   in
-  let emit i = function
-    | Formula.False -> ()
-    | f -> pending := (Flat.orig flat i, f) :: !pending
+  let emit v f = pending := (v, f) :: !pending in
+  let walk_ops, contexts =
+    sel_from plan flat ~init ~is_root ~sat:sat_pre_slot ~wsat ~emit
   in
-  let walk ~is_context init =
-    let walk_ops, contexts =
-      sel_walk plan flat ~init ~is_context ~sat:sat_pre_slot ~emit
-    in
-    ops := !ops + walk_ops;
-    contexts
-  in
-  let root_qvec, contexts =
-    if is_root && compiled.Compile.absolute then begin
-      let wrapper = fst (Sel_pass.context_root compiled (Flat.root flat)) in
-      ops := !ops + n_sel;
-      let sv = Array.make n_sel Formula.false_ in
-      sv.(0) <- Formula.bool true;
-      Array.iteri
-        (fun j item ->
-          let ix = j + 1 in
-          match item with
-          | Compile.Move test ->
-              sv.(ix) <-
-                (if Compile.matches test wrapper.Tree.tag then init.(j)
-                 else Formula.false_)
-          | Compile.Dos_item -> sv.(ix) <- Formula.disj init.(ix) sv.(ix - 1)
-          | Compile.Filter q ->
-              sv.(ix) <-
-                (if sv.(ix - 1) = Formula.false_ then Formula.false_
-                 else Formula.conj sv.(ix - 1) (sat_pre_node wrapper q)))
-        compiled.Compile.sel;
-      if sv.(last) <> Formula.false_ then
-        pending := (wrapper, sv.(last)) :: !pending;
-      let contexts = walk ~is_context:false sv in
-      let qvec =
-        Qual_pass.eval_node compiled ~ops wrapper [ vector qv ~n_qual 0 ]
-      in
-      (qvec, contexts)
-    end
-    else begin
-      let contexts = walk ~is_context:is_root init in
-      (vector qv ~n_qual 0, contexts)
-    end
+  ops := !ops + walk_ops;
+  let root_vec = vector qv ~n_qual 0 in
+  let root_qvec =
+    if wraps plan ~is_root then wrapper_qvec plan ~ops root_vec else root_vec
   in
   let sigma_lookup = function
     | Var.Qual_at (slot, e) ->

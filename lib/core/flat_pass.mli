@@ -1,23 +1,20 @@
-(** The stage passes of {!Sel_pass}, {!Qual_pass} and PaX2's combined
-    traversal over flat fragment images ({!Pax_xml.Flat},
-    docs/FLATTREE.md).
+(** The stage kernel: the qualifier and selection passes of PaX3 and
+    ParBoX and PaX2's combined traversal, over flat fragment images
+    ({!Pax_xml.Flat}, docs/FLATTREE.md).
 
-    Same recurrences, same formula-construction order, same operation
-    counting as the pointer passes — only the node representation
-    changes: tag tests compare interned int codes, text/attribute tests
-    read the shared byte buffer in place, traversal follows int vectors.
-    A flat run is bit-identical to a pointer run through every oracle
-    (answers, visit vectors, ops, trace events, audits); the engine seam
-    tests assert this clean and under faults.
+    The paper's recurrences, evaluation order and operation counting,
+    over preorder slots: tag tests compare interned int codes,
+    text/attribute tests read the shared byte buffer in place,
+    traversal follows int vectors.  The pointer-walking passes these
+    were derived from are kept as a test-only reference
+    (test/helpers/ref_kernel.ml), which the kernel seam compares with
+    every pass, formula for formula.
 
-    The [#document] wrapper of an absolute query has no slot; it is
-    evaluated through the pointer kernel on a materialized node. *)
+    The [#document] wrapper of an absolute query has no slot; its
+    vectors are computed from slot 0's through {!Qual_pass}'s view
+    kernel. *)
 
 module Formula = Pax_bool.Formula
-
-(** Whether the flat hot path is on ([PAX_FLAT] unset or not ["0"]).
-    Engines take [?flat] defaulting to this. *)
-val enabled : unit -> bool
 
 (** {1 Plans} *)
 
@@ -32,7 +29,7 @@ type plan
     label the store never interned matches no node. *)
 val make_plan : Pax_xpath.Compile.t -> Pax_xml.Intern.t -> plan
 
-(** {1 Qualifier pass} — {!Qual_pass.run} over a flat image. *)
+(** {1 Qualifier pass} — PaX3 stage 1 and ParBoX. *)
 
 (** One fragment's qualifier vectors.  Entries with no residual
     variable are held as bits; only the symbolic spine above the
@@ -49,6 +46,10 @@ val qual_ops : qual -> int
 (** The image the pass ran on: its slots index the vectors. *)
 val qual_flat : qual -> Pax_xml.Flat.t
 
+(** [qual_vector q i] — slot [i]'s whole vector, resolved once
+    {!qual_resolve} has run. *)
+val qual_vector : qual -> int -> Formula.t array
+
 (** [qual_run plan flat ~is_root] — bottom-up qualifier vectors for
     every slot; [is_root] marks fragment 0, whose root an absolute
     query wraps in a [#document] node. *)
@@ -56,11 +57,11 @@ val qual_run : plan -> Pax_xml.Flat.t -> is_root:bool -> qual
 
 (** [qual_resolve q lookup] substitutes boundary variables in every
     stored vector in place (wrapper included), returning the operation
-    count — same as {!Qual_pass.resolve}: every entry of every slot is
-    counted, though only symbolic ones can change. *)
+    count: every entry of every slot is counted, though only symbolic
+    ones can change. *)
 val qual_resolve : qual -> (Pax_bool.Var.t -> Formula.t option) -> int
 
-(** {1 Selection pass} — {!Sel_pass.run} over a flat image. *)
+(** {1 Selection pass} — PaX3 stage 2. *)
 
 (** [sel_run plan flat ~init ~is_root ~qual] — the top-down pass, with
     qualifier satisfaction read from a resolved [qual] (or trivially
@@ -80,8 +81,9 @@ val sel_run :
 
 (** {1 Combined pass} — PaX2's single interleaved traversal. *)
 
-(** Same shape as [Pax2.Combined.outcome] (re-exported there as an
-    equation). *)
+(** One fragment's stage-1 result: its root qualifier vector (the
+    wrapper's, when wrapped), the certain answers, the candidates left
+    for stage 2 and the context vectors of its virtual slots. *)
 type combined_outcome = {
   root_qvec : Formula.t array;
   answers : Pax_xml.Tree.node list;
@@ -93,8 +95,8 @@ type combined_outcome = {
 (** [combined_run plan flat ~init ~is_root] — PaX2's one traversal:
     every slot's qualifier vector, then pre-order selection with
     placeholder qualifiers, local placeholders resolved before
-    returning; same outcome, formula for formula, as
-    [Pax2.Combined.run]. *)
+    returning, so candidates and contexts mention only boundary
+    variables. *)
 val combined_run :
   plan ->
   Pax_xml.Flat.t ->

@@ -22,10 +22,6 @@ let fragment_setup ~memory_budget (doc : Tree.doc) =
   in
   (ft, peak)
 
-let eval_root compiled ft fid =
-  let root = (Fragment.fragment ft fid).Fragment.root in
-  if fid = 0 then fst (Sel_pass.context_root compiled root) else root
-
 let init_for compiled fid =
   if fid = 0 then Sel_pass.blank_init compiled
   else Sel_pass.symbolic_init compiled ~fid
@@ -49,6 +45,7 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   let ft, peak = fragment_setup ~memory_budget doc in
   let n = Fragment.n_fragments ft in
   let swaps = ref 0 and bytes = ref 0 in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let outcomes = Array.make n None in
   (* One swap-in per fragment: the combined traversal extracts
      everything the resolution needs. *)
@@ -56,14 +53,14 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
     (fun fid ->
       load (swaps, bytes) ft fid;
       let oc =
-        Pax2.Combined.run compiled ~init:(init_for compiled fid)
-          ~root_is_context:(fid = 0) (eval_root compiled ft fid)
+        Flat_pass.combined_run plan (Fragment.flat ft fid)
+          ~init:(init_for compiled fid) ~is_root:(fid = 0)
       in
       outcomes.(fid) <- Some oc)
     (Fragment.top_down ft);
   let resolved_quals =
     Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-        Option.map (fun oc -> oc.Pax2.Combined.root_qvec) outcomes.(fid))
+        Option.map (fun oc -> oc.Flat_pass.root_qvec) outcomes.(fid))
   in
   let qual_lookup = Eval_ft.qual_lookup resolved_quals in
   let raw_ctx = Array.make n None in
@@ -72,7 +69,7 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
       | Some oc ->
           List.iter
             (fun (sub, vec) -> raw_ctx.(sub) <- Some vec)
-            oc.Pax2.Combined.contexts
+            oc.Flat_pass.contexts
       | None -> ())
     outcomes;
   let resolved_ctx =
@@ -88,14 +85,14 @@ let run ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
       | Some oc ->
           List.iter
             (fun (v : Tree.node) -> answers := v.Tree.id :: !answers)
-            oc.Pax2.Combined.answers;
+            oc.Flat_pass.answers;
           List.iter
             (fun ((v : Tree.node), f) ->
               match Formula.to_bool (Formula.subst lookup f) with
               | Some true when v.Tree.id >= 0 -> answers := v.Tree.id :: !answers
               | Some _ -> ()
               | None -> invalid_arg "Paging.run: unresolved candidate")
-            oc.Pax2.Combined.candidates
+            oc.Flat_pass.candidates
       | None -> ())
     outcomes;
   finish ~answers:!answers ~swaps:!swaps ~bytes:!bytes ~ft ~peak
@@ -105,17 +102,21 @@ let run_two_pass ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   let ft, peak = fragment_setup ~memory_budget doc in
   let n = Fragment.n_fragments ft in
   let swaps = ref 0 and bytes = ref 0 in
+  let plan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   (* Pass 1: qualifiers — every fragment paged in once. *)
-  let qp_store = Array.make n None in
+  let fq_store = Array.make n None in
   if not (Compile.no_qualifiers compiled) then
     List.iter
       (fun fid ->
         load (swaps, bytes) ft fid;
-        qp_store.(fid) <- Some (Qual_pass.run compiled (eval_root compiled ft fid)))
+        fq_store.(fid) <-
+          Some
+            (Flat_pass.qual_run plan (Fragment.flat ft fid)
+               ~is_root:(fid = 0)))
       (Fragment.bottom_up ft);
   let resolved_quals =
     Eval_ft.resolve_quals ft ~root_vecs:(fun fid ->
-        Option.map (fun qp -> qp.Qual_pass.root_vec) qp_store.(fid))
+        Option.map Flat_pass.qual_root_vec fq_store.(fid))
   in
   let qual_lookup = Eval_ft.qual_lookup resolved_quals in
   (* Pass 2: selection — every fragment paged in again. *)
@@ -123,21 +124,14 @@ let run_two_pass ~memory_budget (q : Query.t) (doc : Tree.doc) : result =
   List.iter
     (fun fid ->
       load (swaps, bytes) ft fid;
-      (match qp_store.(fid) with
-      | Some qp -> ignore (Qual_pass.resolve qp qual_lookup)
-      | None -> ());
-      let sat v filter =
-        match qp_store.(fid) with
-        | Some qp ->
-            Qual_pass.sat compiled
-              (Hashtbl.find qp.Qual_pass.vectors v.Tree.id)
-              v filter
-        | None -> Qual_pass.sat compiled [||] v filter
-      in
+      Option.iter
+        (fun fq -> ignore (Flat_pass.qual_resolve fq qual_lookup))
+        fq_store.(fid);
       outcomes.(fid) <-
         Some
-          (Sel_pass.run compiled ~init:(init_for compiled fid)
-             ~root_is_context:(fid = 0) ~sat (eval_root compiled ft fid)))
+          (Flat_pass.sel_run plan (Fragment.flat ft fid)
+             ~init:(init_for compiled fid) ~is_root:(fid = 0)
+             ~qual:fq_store.(fid)))
     (Fragment.top_down ft);
   let raw_ctx = Array.make n None in
   Array.iter

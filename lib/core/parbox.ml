@@ -7,7 +7,7 @@ module Fragment = Pax_frag.Fragment
 module Cluster = Pax_dist.Cluster
 module Measure = Pax_dist.Measure
 
-let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
+let eval (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
   Cluster.reset cl;
   let ft = Cluster.ftree cl in
   let n_frag = Fragment.n_fragments ft in
@@ -16,9 +16,6 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
     Query.of_ast { Ast.absolute = false; path = Ast.Qualified (Ast.Empty, qual) }
   in
   let compiled = q.Query.compiled in
-  let use_flat =
-    match flat with Some b -> b | None -> Flat_pass.enabled ()
-  in
   (* Built before the round: the visits share it across domains. *)
   let fplan = Flat_pass.make_plan compiled (Fragment.intern ft) in
   let root_vecs : Formula.t array option array = Array.make n_frag None in
@@ -29,23 +26,15 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
     (Cluster.run_round cl ~label:"parbox" ~sites (fun site ->
          List.iter
            (fun fid ->
-             if Option.is_none root_vecs.(fid) then
-               if use_flat then begin
-                 (* The query is relative, so the root fragment's eval
-                    root is never wrapped. *)
-                 let fq =
-                   Flat_pass.qual_run fplan
-                     (Fragment.flat ft fid) ~is_root:false
-                 in
-                 root_vecs.(fid) <- Some (Flat_pass.qual_root_vec fq);
-                 Cluster.add_ops cl ~site (Flat_pass.qual_ops fq)
-               end
-               else begin
-                 let root = (Fragment.fragment ft fid).Fragment.root in
-                 let qp = Qual_pass.run compiled root in
-                 root_vecs.(fid) <- Some qp.Qual_pass.root_vec;
-                 Cluster.add_ops cl ~site qp.Qual_pass.ops
-               end)
+             if Option.is_none root_vecs.(fid) then begin
+               (* The query is relative, so the root fragment's eval
+                  root is never wrapped. *)
+               let fq =
+                 Flat_pass.qual_run fplan (Fragment.flat ft fid) ~is_root:false
+               in
+               root_vecs.(fid) <- Some (Flat_pass.qual_root_vec fq);
+               Cluster.add_ops cl ~site (Flat_pass.qual_ops fq)
+             end)
            (Cluster.fragments_on cl site)));
   List.iter
     (fun site ->
@@ -68,16 +57,26 @@ let eval ?flat (cl : Cluster.t) (qual : Ast.qual) : bool * Cluster.report =
           Eval_ft.resolve_quals ft ~root_vecs:(fun fid -> root_vecs.(fid))
         in
         let root = (Fragment.root_fragment ft).Fragment.root in
+        let view =
+          {
+            Qual_pass.vtag = root.Tree.tag;
+            vtext = Tree.text_of root;
+            vnum = Tree.float_of root;
+            vattr = Tree.attr root;
+          }
+        in
         let root_vec = Array.map Formula.bool resolved.(0) in
         let filter =
           match compiled.Compile.sel with
           | [| Compile.Filter f |] -> f
           | _ -> invalid_arg "ParBoX: not a Boolean query"
         in
-        match Formula.to_bool (Qual_pass.sat compiled root_vec root filter) with
+        match
+          Formula.to_bool (Qual_pass.sat_view compiled root_vec view filter)
+        with
         | Some b -> b
         | None -> invalid_arg "ParBoX: unresolved answer")
   in
   (answer, Cluster.report cl)
 
-let eval_string ?flat cl s = eval ?flat cl (Pax_xpath.Parse.qual s)
+let eval_string cl s = eval cl (Pax_xpath.Parse.qual s)

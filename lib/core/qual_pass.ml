@@ -1,30 +1,16 @@
-module Tree = Pax_xml.Tree
 module Compile = Pax_xpath.Compile
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
 
-type t = {
-  vectors : (int, Formula.t array) Hashtbl.t;
-  root_vec : Formula.t array;
-  ops : int;
-}
-
-(* The kernel is defined over an abstract node view so that both the
-   tree passes and the streaming engine share it. *)
+(* The kernel is defined over an abstract node view, so that the flat
+   kernel's #document wrapper (which has no slot) and the streaming
+   engine share it. *)
 type view = {
   vtag : string;
   vtext : string;
   vnum : float option;
   vattr : string -> string option;
 }
-
-let view_of_node (v : Tree.node) : view =
-  {
-    vtag = v.Tree.tag;
-    vtext = Tree.text_of v;
-    vnum = Tree.float_of v;
-    vattr = Tree.attr v;
-  }
 
 let rec sat_view compiled vec (v : view) (q : Compile.qual) : Formula.t =
   match q with
@@ -49,8 +35,6 @@ let rec sat_view compiled vec (v : view) (q : Compile.qual) : Formula.t =
       Formula.conj (sat_view compiled vec v a) (sat_view compiled vec v b)
   | Compile.Qor (a, b) ->
       Formula.disj (sat_view compiled vec v a) (sat_view compiled vec v b)
-
-let sat compiled vec v q = sat_view compiled vec (view_of_node v) q
 
 (* Compute one node's vector; [exists_child e] is the disjunction of
    entry [e] over the node's children.  Entries are filled path by path
@@ -94,40 +78,3 @@ let eval_entries compiled (v : view) ~exists_child : Formula.t array =
 
 let virtual_vec compiled fid =
   Array.init compiled.Compile.n_qual (fun e -> Formula.var (Var.Qual (fid, e)))
-
-let eval_node compiled ~ops (v : Tree.node) (child_vecs : Formula.t array list) :
-    Formula.t array =
-  let n_qual = compiled.Compile.n_qual in
-  match v.kind with
-  | Tree.Virtual fid ->
-      ops := !ops + n_qual;
-      virtual_vec compiled fid
-  | Tree.Element ->
-      ops := !ops + (n_qual * (1 + List.length child_vecs));
-      let exists_child e =
-        List.fold_left
-          (fun acc cv -> Formula.disj acc cv.(e))
-          Formula.false_ child_vecs
-      in
-      eval_entries compiled (view_of_node v) ~exists_child
-
-let run compiled (root : Tree.node) : t =
-  let vectors = Hashtbl.create 256 in
-  let ops = ref 0 in
-  let rec go v =
-    let child_vecs = List.map go v.Tree.children in
-    let vec = eval_node compiled ~ops v child_vecs in
-    Hashtbl.replace vectors v.Tree.id vec;
-    vec
-  in
-  let root_vec = go root in
-  { vectors; root_vec; ops = !ops }
-
-let resolve t lookup =
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun _ vec ->
-      n := !n + Array.length vec;
-      Array.iteri (fun i f -> vec.(i) <- Formula.subst lookup f) vec)
-    t.vectors;
-  !n

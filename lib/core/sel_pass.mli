@@ -1,13 +1,13 @@
 (** Top-down selection-path evaluation over one fragment — procedure
-    [topDown] of the paper (§3.2).
+    [topDown] of the paper (§3.2): the outcome of one fragment's
+    selection pass ({!Flat_pass.sel_run}) and the vectors it starts
+    from.
 
-    A single depth-first pass computes, for every node [v], the vector
-    [SV_v] of selection-path prefixes reaching [v].  The stack of the
-    paper is the recursion: each call receives its parent's vector,
-    which already summarizes all ancestors.  The traversal starts from
-    the [init] vector — ground for the root fragment (and for annotated
-    fragments whose context is certain), symbolic [Sel_ctx] variables
-    otherwise.
+    The pass computes, for every node [v], the vector [SV_v] of
+    selection-path prefixes reaching [v], starting from the [init]
+    vector of the fragment root's parent — ground for the root fragment
+    (and for annotated fragments whose context is certain), symbolic
+    [Sel_ctx] variables otherwise.
 
     Outcome per fragment:
     - [answers]: nodes whose last entry is the constant [true] — certain
@@ -26,20 +26,6 @@ type outcome = {
   contexts : (int * Formula.t array) list;  (** sub-fragment fid → ctx *)
   ops : int;
 }
-
-(** [run compiled ~init ~root_is_context ~sat root]:
-    - [init] — the vector of the fragment root's parent ([n_sel] long);
-    - [root_is_context] — true when [root] is the query's context node
-      (the root element of a relative query);
-    - [sat v q] — qualifier satisfaction at [v] (ground in PaX3 Stage 2;
-      placeholder variables in PaX2's pre-order). *)
-val run :
-  Pax_xpath.Compile.t ->
-  init:Formula.t array ->
-  root_is_context:bool ->
-  sat:(Pax_xml.Tree.node -> Pax_xpath.Compile.qual -> Formula.t) ->
-  Pax_xml.Tree.node ->
-  outcome
 
 (** All-false parent vector (used with [root_is_context:true]). *)
 val blank_init : Pax_xpath.Compile.t -> Formula.t array

@@ -12,6 +12,8 @@ type t = {
   n_sites : int;
   entries : entry array;
   mutable epoch : int;
+      (* published: raised only with the placement change it versions *)
+  mutable reserved : int;  (* high-water mark of reserved epochs *)
   lock : Mutex.t;
 }
 
@@ -29,7 +31,15 @@ let create ?(kind = Wire.Tree_frag) ~n_frags ~n_sites ~assign () =
           invalid_arg "Ptable.create: assign out of range";
         { e_site = site; e_epoch = 0; e_visits = 0 })
   in
-  { kind; n_frags; n_sites; entries; epoch = 0; lock = Mutex.create () }
+  {
+    kind;
+    n_frags;
+    n_sites;
+    entries;
+    epoch = 0;
+    reserved = 0;
+    lock = Mutex.create ();
+  }
 
 let kind t = t.kind
 let n_frags t = t.n_frags
@@ -78,10 +88,14 @@ let site_loads t =
         t.entries;
       loads)
 
+(* A reserved epoch is not published: runs admitted between
+   [reserve_epoch] and [commit_move] must carry the epoch that matches
+   the placement they route by, or they would reach the source after
+   it is fenced at the new epoch. *)
 let reserve_epoch t =
   locked t (fun () ->
-      t.epoch <- t.epoch + 1;
-      t.epoch)
+      t.reserved <- t.reserved + 1;
+      t.reserved)
 
 let commit_move t ~fid ~site ~epoch =
   check_fid t fid;
@@ -90,7 +104,8 @@ let commit_move t ~fid ~site ~epoch =
       let e = t.entries.(fid) in
       e.e_site <- site;
       e.e_epoch <- epoch;
-      if epoch > t.epoch then t.epoch <- epoch)
+      if epoch > t.epoch then t.epoch <- epoch;
+      if epoch > t.reserved then t.reserved <- epoch)
 
 let move t ~fid ~site =
   let e = reserve_epoch t in
@@ -123,7 +138,7 @@ let save t path =
         Buffer.add_string buf (Printf.sprintf "pax-placement 1 %s\n" (kind_name t.kind));
         Buffer.add_string buf
           (Printf.sprintf "frags %d sites %d epoch %d\n" t.n_frags t.n_sites
-             t.epoch);
+             t.reserved);
         Array.iteri
           (fun fid e ->
             Buffer.add_string buf
@@ -185,6 +200,7 @@ let load path =
                             Array.init n_frags (fun _ ->
                                 { e_site = 0; e_epoch = 0; e_visits = 0 });
                           epoch;
+                          reserved = epoch;
                           lock = Mutex.create ();
                         }
                       in

@@ -9,7 +9,9 @@
     moves.
 
     {b Epochs.}  The table carries one global epoch, 0 at creation,
-    bumped by every move.  A run admitted at epoch [e] carries [e] on
+    raised by every committed move, together with the placement change
+    (one lock), so a run stamped with it routes by the placement it
+    names.  A run admitted at epoch [e] carries [e] on
     its visit requests ([Client.set_epoch]); a site that retired a
     fragment at epoch [r] refuses visits stamped [>= r] (stale routing
     — the sender's table should already place the fragment elsewhere)
@@ -38,7 +40,8 @@ val kind : t -> Pax_wire.Wire.frag_kind
 val n_frags : t -> int
 val n_sites : t -> int
 
-(** Current global epoch (0 until the first move). *)
+(** Current global epoch (0 until the first committed move); a
+    reserved but uncommitted epoch is not visible here. *)
 val epoch : t -> int
 
 (** Site currently holding a fragment.
@@ -79,11 +82,14 @@ val site_loads : t -> int array
     data).  Admin operations are serialized by the caller (CLI admin
     lock); the table's own lock only protects readers. *)
 
-(** Bump and return the global epoch. *)
+(** Reserve and return the next epoch, above every epoch reserved or
+    committed so far.  {!epoch} and the placement are unchanged until
+    {!commit_move}. *)
 val reserve_epoch : t -> int
 
-(** Point [fid] at [site] as of [epoch] (also raises the global epoch
-    to [epoch] if it is ahead, as when replaying). *)
+(** Point [fid] at [site] as of [epoch] and raise the global epoch to
+    [epoch] if it is ahead, under one lock: a run admitted afterwards
+    sees both. *)
 val commit_move : t -> fid:int -> site:int -> epoch:int -> unit
 
 (** [reserve_epoch] + [commit_move]; returns the new epoch. *)
@@ -95,9 +101,11 @@ val to_list : t -> (int * int * int * int) list
 
 (** {1 Snapshot}
 
-    Plain-text, atomic (tmp + rename).  [load] is total: any
-    malformed, truncated or inconsistent file yields [Error], never an
-    exception or a half-filled table. *)
+    Plain-text, atomic (tmp + rename).  The epoch saved is the highest
+    reserved or committed, so a reloaded table never reissues an epoch
+    a skipped move reserved.  [load] is total: any malformed, truncated
+    or inconsistent file yields [Error], never an exception or a
+    half-filled table. *)
 
 val save : t -> string -> unit
 val load : string -> (t, string) result

@@ -5,7 +5,9 @@
    clean and under seeded fault plans.  A golden section pins the FT1
    visit-count matrix (test_visits_matrix.ml) as observed through the
    seam, so a refactor of the wrappers cannot silently change engine
-   behaviour. *)
+   behaviour.  One level down, the kernel seam checks every pass of the
+   stage kernel against the pointer-walking reference passes
+   (helpers/ref_kernel.ml), formula for formula. *)
 
 module Tree = Pax_xml.Tree
 module Ast = Pax_xpath.Ast
@@ -19,12 +21,15 @@ module Engines = Pax_core.Engines
 module Pe = Pax_engine.Pe
 module Xmark = Pax_xmark.Xmark
 module Formula = Pax_bool.Formula
+module Semantics = Pax_xpath.Semantics
 module Var = Pax_bool.Var
+module Flat = Pax_xml.Flat
 module Flat_pass = Pax_core.Flat_pass
-module Qual_pass = Pax_core.Qual_pass
-module Sel_pass = Pax_core.Sel_pass
-module Combined = Pax_core.Pax2.Combined
 module H = Test_helpers
+module Ref = H.Ref_kernel
+module Qual_pass = Ref.Qual_pass
+module Sel_pass = Ref.Sel_pass
+module Combined = Ref.Combined
 module G = QCheck.Gen
 
 let count n =
@@ -87,10 +92,10 @@ let direct_xpath ~annotations runner ~ename cl text =
   | o -> Completed o
   | exception Cluster.Site_unreachable _ -> Unreachable
 
-let direct_parbox ?flat cl text =
+let direct_parbox cl text =
   match
     let qual = Pax_xpath.Parse.qual text in
-    let answer, report = Pax_core.Parbox.eval ?flat cl qual in
+    let answer, report = Pax_core.Parbox.eval cl qual in
     let rq =
       Query.of_ast ~source:text
         {
@@ -194,69 +199,10 @@ let seam ~fault ((s : H.Gen.scenario), seed) =
   Cluster.set_fault cl (if fault then mk_fault seed else Fault.none);
   check "parbox" via_pe (direct_parbox cl qual_text)
 
-(* The second seam: flat structure-of-arrays kernels vs the pointer
-   kernels, same projection.  [Flat_pass] promises bit-identity through
-   every observable (answers, visit vectors, trace events, ops,
-   audits), so the two runs must compare equal on the same placement
-   under identically seeded fault plans — the fault schedule itself
-   only stays aligned if the visit sequences do. *)
-let flat_runners =
-  [
-    ("pax2", fun ~flat cl q -> Pax_core.Pax2.run ~flat cl q);
-    ( "pax2-xa",
-      fun ~flat cl q -> Pax_core.Pax2.run ~annotations:true ~flat cl q );
-    ("pax3", fun ~flat cl q -> Pax_core.Pax3.run ~flat cl q);
-    ( "pax3-xa",
-      fun ~flat cl q -> Pax_core.Pax3.run ~annotations:true ~flat cl q );
-  ]
-
-let direct_obs ~ename runner ~flat cl text =
-  match
-    let q = Query.of_string text in
-    let r : Run_result.t = runner ~flat cl q in
-    obs ~keys:r.Run_result.answer_ids ~report:r.Run_result.report
-      ~trace:r.Run_result.trace
-      ~audit:
-        (Pax_core.Guarantee.audit ~engine:ename ~ftree:(Cluster.ftree cl) r)
-  with
-  | o -> Completed o
-  | exception Cluster.Site_unreachable _ -> Unreachable
-
-(* The first engine whose flat run differs from its pointer run, on
-   [cl] under identically seeded fault plans ([fault] chooses seeded
-   or none). *)
-let flat_divergence ~fault cl (query : Ast.t) seed =
-  let text = Ast.to_string query in
-  let qual_text = Format.asprintf "%a" Ast.pp_qual (Ast.QPath query.Ast.path) in
-  let plan () = if fault then mk_fault seed else Fault.none in
-  let differs name runner =
-    Cluster.set_fault cl (plan ());
-    let via_ptr = runner ~flat:false in
-    Cluster.set_fault cl (plan ());
-    let via_flat = runner ~flat:true in
-    if via_flat <> via_ptr then Some (name, via_flat, via_ptr) else None
-  in
-  match
-    List.find_map
-      (fun (name, runner) ->
-        differs name (fun ~flat -> direct_obs ~ename:name runner ~flat cl text))
-      flat_runners
-  with
-  | Some d -> Some d
-  | None ->
-      differs "parbox" (fun ~flat -> direct_parbox ~flat cl qual_text)
-
-let flat_seam ~fault ((s : H.Gen.scenario), seed) =
-  match flat_divergence ~fault s.H.Gen.s_cluster s.H.Gen.s_query seed with
-  | None -> true
-  | Some (name, via_flat, via_ptr) ->
-      QCheck.Test.fail_reportf "%s: flat diverges@.flat:    %a@.pointer: %a"
-        name explain via_flat explain via_ptr
-
-(* The kernel seam, one level down: every flat pass against its
-   pointer pass on every fragment, whole outcomes compared — vectors,
-   candidate formulas, contexts, ops — not just their projection
-   through a run.  The qualifier vectors are resolved partially (some
+(* The kernel seam: every flat pass against its reference pass on
+   every fragment, whole outcomes compared — every slot's qualifier
+   vector, candidate formulas, contexts, ops — not just their
+   projection through a run.  The qualifier vectors are resolved partially (some
    boundary entries become constants, the rest stay symbolic) before
    the selection pass reads them; non-root fragments run from both a
    symbolic and an all-[False] parent vector (a dead fragment root). *)
@@ -280,10 +226,18 @@ let kernel_divergence ft (q : Query.t) =
     let qp = Qual_pass.run compiled eval_root in
     let fq = Flat_pass.qual_run plan flat ~is_root in
     let same_root () = qp.Qual_pass.root_vec = Flat_pass.qual_root_vec fq in
+    let same_vectors () =
+      List.for_all
+        (fun i ->
+          Hashtbl.find qp.Qual_pass.vectors (Flat.node_id flat i)
+          = Flat_pass.qual_vector fq i)
+        (List.init (Flat.length flat) Fun.id)
+    in
     let qual =
       [
         ("qual ops", qp.Qual_pass.ops = Flat_pass.qual_ops fq);
         ("qual root vector", same_root ());
+        ("qual vectors", same_vectors ());
       ]
     in
     (* In place, on both sides, before the selection passes read them. *)
@@ -294,6 +248,7 @@ let kernel_divergence ft (q : Query.t) =
       [
         ("resolve ops", same_resolve_ops);
         ("resolved root vector", same_root ());
+        ("resolved vectors", same_vectors ());
       ]
     in
     let inits =
@@ -355,7 +310,7 @@ let kernel_seam ((s : H.Gen.scenario), _) =
   | Some what ->
       QCheck.Test.fail_reportf "%s on %s" what (Ast.to_string s.H.Gen.s_query)
 
-(* Directed inputs for the flat seams, aimed at the kernels' two
+(* Directed inputs for the kernel seam, aimed at the flat kernel's two
    shortcuts.  The document:
 
    {v
@@ -369,10 +324,12 @@ let kernel_seam ((s : H.Gen.scenario), _) =
    v}
 
    Queries select through [a] (so [x] dies with virtual nodes below
-   it), filter on [a]'s mixed children and on slot 0 below the
-   [#document] wrapper (slot and wrapper placeholders must not mix),
+   it), filter on [a]'s mixed children, on slot 0 and on the
+   [#document] wrapper above it (slot and wrapper placeholders must not
+   mix),
    and one carries more than 62 qualifier entries (several mask
-   words). *)
+   words).  Every engine's answers on them are also checked against
+   the set semantics. *)
 let directed_doc () =
   let b = Tree.builder () in
   let cuts = ref [] in
@@ -420,6 +377,7 @@ let directed_queries =
     "/r/a[b/c > 8]/b";
     "r/a[b/c and not(b/d)]";
     "/r[a/b and x]//c";
+    "/.[r/x]/r[a/b]//c";
     "//a[b/c]";
     "/r/x/y/z/a";
     "/r/q//b";
@@ -429,9 +387,7 @@ let directed_queries =
 
 (* Every placement shape: all fragments on one site, one site each,
    and two sites alternating. *)
-let directed_clusters () =
-  let doc, cuts = directed_doc () in
-  let ft = Fragment.fragmentize doc ~cuts in
+let directed_clusters ft =
   let n = Fragment.n_fragments ft in
   List.map
     (fun (n_sites, assign) -> Cluster.create ~ftree:ft ~n_sites ~assign ())
@@ -442,25 +398,50 @@ let test_directed_flat () =
   if wide.Query.compiled.Pax_xpath.Compile.n_qual <= 62 then
     Alcotest.failf "wide query has only %d qualifier entries"
       wide.Query.compiled.Pax_xpath.Compile.n_qual;
+  let doc, cuts = directed_doc () in
+  let ft = Fragment.fragmentize doc ~cuts in
+  let clusters = directed_clusters ft in
   List.iter
-    (fun cl ->
+    (fun text ->
+      (match kernel_divergence ft (Query.of_string text) with
+      | Some what -> Alcotest.failf "%s: %s" text what
+      | None -> ());
+      let query = Pax_xpath.Parse.query text in
+      let qual = Ast.QPath query.Ast.path in
+      let expected = Semantics.eval_ids query doc.Tree.root in
+      let holds =
+        Semantics.eval_ids
+          { Ast.absolute = false; path = Ast.Qualified (Ast.Empty, qual) }
+          doc.Tree.root
+        <> []
+      in
+      let qual_text = Format.asprintf "%a" Ast.pp_qual qual in
+      let runs =
+        ("parbox", (if holds then [ 1 ] else []), fun cl ->
+            direct_parbox cl qual_text)
+        :: List.map
+             (fun (name, _, direct) ->
+               (name, expected, fun cl -> direct cl text))
+             engines
+      in
       List.iter
-        (fun text ->
-          let query = Pax_xpath.Parse.query text in
-          let ft = Cluster.ftree cl in
-          (match kernel_divergence ft (Query.of_string text) with
-          | Some what -> Alcotest.failf "%s: %s" text what
-          | None -> ());
+        (fun cl ->
           List.iter
             (fun (fault, seed) ->
-              match flat_divergence ~fault cl query seed with
-              | None -> ()
-              | Some (name, via_flat, via_ptr) ->
-                  Alcotest.failf "%s, %s (fault seed %d): flat %a, pointer %a"
-                    text name seed explain via_flat explain via_ptr)
+              List.iter
+                (fun (name, keys, run) ->
+                  Cluster.set_fault cl
+                    (if fault then mk_fault seed else Fault.none);
+                  match run cl with
+                  | Completed o when o.o_keys = keys -> ()
+                  | Unreachable when fault -> ()
+                  | got ->
+                      Alcotest.failf "%s, %s (fault seed %d): %a" text name
+                        seed explain got)
+                runs)
             [ (false, 0); (true, 1); (true, 2); (true, 3) ])
-        directed_queries)
-    (directed_clusters ())
+        clusters)
+    directed_queries
 
 let arbitrary_faulty =
   QCheck.make
@@ -543,10 +524,6 @@ let () =
             test_golden_matrix;
           qtest "Pe = direct, bit for bit (clean)" ~count:100 (seam ~fault:false);
           qtest "Pe = direct, bit for bit (faults)" ~count:150 (seam ~fault:true);
-          qtest "flat = pointer, bit for bit (clean)" ~count:100
-            (flat_seam ~fault:false);
-          qtest "flat = pointer, bit for bit (faults)" ~count:150
-            (flat_seam ~fault:true);
           qtest "flat kernels = pointer kernels, formula for formula"
             ~count:300 kernel_seam;
           Alcotest.test_case "flat = pointer on directed inputs" `Quick

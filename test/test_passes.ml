@@ -1,6 +1,6 @@
-(* White-box tests of the evaluation passes: qualifier vectors against
-   the reference semantics, context vectors against ancestry, and the
-   coordinator's unification (evalFT). *)
+(* White-box tests of the stage kernel's passes ({!Pax_core.Flat_pass}):
+   qualifier vectors against the reference semantics, context vectors
+   against ancestry, and the coordinator's unification (evalFT). *)
 
 module Tree = Pax_xml.Tree
 module Query = Pax_xpath.Query
@@ -10,6 +10,8 @@ module Parse = Pax_xpath.Parse
 module Formula = Pax_bool.Formula
 module Var = Pax_bool.Var
 module Fragment = Pax_frag.Fragment
+module Flat = Pax_xml.Flat
+module Flat_pass = Pax_core.Flat_pass
 module Qual_pass = Pax_core.Qual_pass
 module Sel_pass = Pax_core.Sel_pass
 module Eval_ft = Pax_core.Eval_ft
@@ -19,6 +21,24 @@ module H = Test_helpers
 (* Qualifier pass: for every node of a complete tree, satisfaction of
    every top-level qualifier path equals the set-based oracle.         *)
 (* ------------------------------------------------------------------ *)
+
+(* [f v sat] for every node [v] of [root], where [sat] is the truth of
+   [filter] at [v] read off [v]'s vector from the flat qualifier
+   pass. *)
+let iter_sat compiled filter root f =
+  let fl = Flat.of_tree root in
+  let fq =
+    Flat_pass.qual_run
+      (Flat_pass.make_plan compiled (Flat.intern fl))
+      fl ~is_root:false
+  in
+  for i = 0 to Flat.length fl - 1 do
+    let v = Flat.orig fl i in
+    f v
+      (Qual_pass.sat_view compiled (Flat_pass.qual_vector fq i)
+         (H.Ref_kernel.Qual_pass.view_of_node v)
+         filter)
+  done
 
 let qual_matches_oracle_on doc_root (qual_src : string) =
   let ast_qual = Parse.qual qual_src in
@@ -34,12 +54,9 @@ let qual_matches_oracle_on doc_root (qual_src : string) =
     | [| Compile.Filter f |] -> f
     | _ -> Alcotest.fail "expected a single filter"
   in
-  let qp = Qual_pass.run compiled doc_root in
-  Tree.iter
-    (fun v ->
-      let vec = Hashtbl.find qp.Qual_pass.vectors v.Tree.id in
+  iter_sat compiled filter doc_root (fun v sat ->
       let got =
-        match Formula.to_bool (Qual_pass.sat compiled vec v filter) with
+        match Formula.to_bool sat with
         | Some b -> b
         | None -> Alcotest.fail "ground tree produced a residual"
       in
@@ -47,7 +64,6 @@ let qual_matches_oracle_on doc_root (qual_src : string) =
       if got <> expected then
         Alcotest.failf "qualifier %s disagrees at node %d (%s): got %b" qual_src
           v.Tree.id v.Tree.tag got)
-    doc_root
 
 let test_qual_pass_oracle () =
   let c = H.Data.clientele () in
@@ -88,15 +104,11 @@ let prop_qual_pass_random =
         | [| Compile.Filter f |] -> f
         | _ -> assert false
       in
-      let qp = Qual_pass.run compiled d.Tree.root in
       let ok = ref true in
-      Tree.iter
-        (fun v ->
-          let vec = Hashtbl.find qp.Qual_pass.vectors v.Tree.id in
-          match Formula.to_bool (Qual_pass.sat compiled vec v filter) with
+      iter_sat compiled filter d.Tree.root (fun v sat ->
+          match Formula.to_bool sat with
           | Some b -> if b <> Semantics.holds ast_qual v then ok := false
-          | None -> ok := false)
-        d.Tree.root;
+          | None -> ok := false);
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -108,13 +120,12 @@ let test_contexts_per_virtual_node () =
   let ft = H.Data.clientele_ftree c in
   let q = Query.of_string "client/broker/market/name" in
   let compiled = q.Query.compiled in
-  let f0 = Fragment.fragment ft 0 in
   let outcome =
-    Sel_pass.run compiled
+    Flat_pass.sel_run
+      (Flat_pass.make_plan compiled (Fragment.intern ft))
+      (Fragment.flat ft 0)
       ~init:(Sel_pass.blank_init compiled)
-      ~root_is_context:true
-      ~sat:(fun _ _ -> Formula.true_)
-      f0.Fragment.root
+      ~is_root:true ~qual:None
   in
   (* F0 has three virtual children in the clientele fragmentation. *)
   Alcotest.(check int) "one context per virtual node" 3
@@ -140,11 +151,11 @@ let test_symbolic_init_creates_candidates () =
   let q = Query.of_string "client/broker/name" in
   let compiled = q.Query.compiled in
   let outcome =
-    Sel_pass.run compiled
+    Flat_pass.sel_run
+      (Flat_pass.make_plan compiled (Fragment.intern ft))
+      (Fragment.flat ft fid)
       ~init:(Sel_pass.symbolic_init compiled ~fid)
-      ~root_is_context:false
-      ~sat:(fun _ _ -> Formula.true_)
-      (Fragment.fragment ft fid).Fragment.root
+      ~is_root:false ~qual:None
   in
   Alcotest.(check int) "no certain answers" 0
     (List.length outcome.Sel_pass.answers);

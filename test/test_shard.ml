@@ -78,6 +78,26 @@ let test_ptable_basics () =
     Alcotest.fail "out-of-range fid must raise"
   with Invalid_argument _ -> ()
 
+(* A move in progress is invisible to admission: between
+   [reserve_epoch] and [commit_move] a newly admitted run must still
+   see the old epoch with the old placement (the source is fenced at
+   the new epoch only once the move commits), and after the commit
+   the new epoch with the new placement. *)
+let test_ptable_reserve_unpublished () =
+  let t = Ptable.create ~n_frags:3 ~n_sites:2 ~assign:(fun fid -> fid mod 2) () in
+  let e = Ptable.reserve_epoch t in
+  Alcotest.(check int) "reserved epoch" 1 e;
+  Alcotest.(check int) "epoch not yet published" 0 (Ptable.epoch t);
+  Alcotest.(check int) "placement not yet moved" 0 (Ptable.assign t 2);
+  Ptable.commit_move t ~fid:2 ~site:1 ~epoch:e;
+  Alcotest.(check int) "epoch published on commit" e (Ptable.epoch t);
+  Alcotest.(check int) "placement moved on commit" 1 (Ptable.assign t 2);
+  (* A skipped reservation is never reissued. *)
+  let skipped = Ptable.reserve_epoch t in
+  Alcotest.(check int) "skipped reservation unpublished" e (Ptable.epoch t);
+  Alcotest.(check bool) "next reservation above the skipped one" true
+    (Ptable.reserve_epoch t > skipped)
+
 let test_ptable_visits () =
   let t = Ptable.create ~n_frags:4 ~n_sites:2 ~assign:(fun fid -> fid mod 2) () in
   Ptable.record_touches t [| 3; 1; 0; 5 |];
@@ -468,6 +488,8 @@ let () =
       ( "ptable",
         [
           Alcotest.test_case "placement and epochs" `Quick test_ptable_basics;
+          Alcotest.test_case "reserved epoch unpublished until commit" `Quick
+            test_ptable_reserve_unpublished;
           Alcotest.test_case "visit counters and loads" `Quick
             test_ptable_visits;
         ] );

@@ -62,7 +62,6 @@ let test_matrix () =
     (fun (qs, name,
           (run :
             ?annotations:bool ->
-            ?flat:bool ->
             Cluster.t ->
             Query.t ->
             Run_result.t),

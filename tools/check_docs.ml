@@ -153,7 +153,10 @@ let looks_like_path tok =
    Cmdliner's [info [ "name"; ... ]] lists) and every PAX_* environment
    variable the sources read must appear in docs/OPERATIONS.md — an
    undocumented knob is an inoperable one, and this check is what keeps
-   the reference table honest as flags are added. *)
+   the reference table honest as flags are added.  Conversely, every
+   PAX_* name OPERATIONS.md documents must still be read by some
+   source: a row for a removed knob tells operators to set something
+   that does nothing. *)
 
 (* Extract the string-literal lists of [info [ ... ]] occurrences.
    [Cmd.info "name"] takes a bare string, not a list, so requiring the
@@ -259,7 +262,13 @@ let check_operations () =
       (fun v ->
         if not (contains ops v) then
           err "%s: environment variable %s is undocumented" ops_file v)
-      vars
+      vars;
+    List.iter
+      (fun v ->
+        if not (List.mem v vars) then
+          err "%s: environment variable %s is documented but no source reads it"
+            ops_file v)
+      (List.sort_uniq compare (env_vars_of ops))
   end
 
 let md_files_in dir =
